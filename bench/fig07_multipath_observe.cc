@@ -39,7 +39,8 @@ void Run() {
     bool in_order;
   };
   std::vector<Obs> observations;
-  net.sendbox()->measurement().SetSampleCallback([&](const EpochSample& s) {
+  MeasurementEngine& meas = net.net()->bundle_controller(0)->measurement();
+  meas.SetSampleCallback([&](const EpochSample& s) {
     observations.push_back({s.now.ToSeconds(), s.rtt.ToMillis(), s.in_order});
   });
 

@@ -97,12 +97,11 @@ cmp <(stable build/smoke_ft_s1/fat_tree_incast.json) \
 cmp <(stable build/smoke_ft_s1/fat_tree_incast.csv) \
     <(stable build/smoke_ft_s4/fat_tree_incast.csv)
 
-echo "--- golden byte-identity: the 1-tenant facade must match the pre-split sendbox"
-# tests/golden/ holds fig09/fig10/fig13 outputs pinned before the sendbox was
-# split into BundleController + SiteEgress + SendboxManager. The refactor's
-# core contract is that the classic facade is bit-for-bit unchanged: same
-# seeds, same JSON and CSV, forever. Regenerate the pins ONLY for an
-# intentional, explained behavior change.
+echo "--- golden byte-identity: the sendbox must reproduce the pinned figures"
+# tests/golden/ holds fig09/fig10/fig13 outputs of the one sendbox data
+# plane (BundleController + SiteEgress + SendboxManager): same seeds, same
+# JSON and CSV, forever. Regenerate the pins ONLY for an intentional,
+# explained behavior change.
 for scenario in fig09_fct fig10_cross_traffic fig13_competing_bundles; do
   ./build/bundler_run --scenario "${scenario}" --trials 1 \
     --out build/smoke_golden --quiet > /dev/null

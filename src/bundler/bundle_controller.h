@@ -1,15 +1,13 @@
-// Per-bundle control loop, extracted from the sendbox monolith so one site
-// can run hundreds of bundles (the fig15 proxy/edge shape). A
-// BundleController owns everything that decides a bundle's rate — congestion
-// measurements, the bundle congestion-control algorithm, Nimbus elasticity /
-// multipath detection, the PI traffic-passing controller, the feedback
-// watchdog, and epoch sizing — but owns no data plane and no timer: the
-// owner (a standalone Sendbox or a SendboxManager) drives ControlTick() every
-// control_interval and exposes its shaping machinery through the
-// BundleDataplane seam below. Keeping the controller timer-free is what lets
-// a manager run N controllers off one shared periodic tick while the 1-tenant
-// Sendbox facade keeps its historical per-box tick (and with it byte-identical
-// pinned figures).
+// Per-bundle control loop of the sendbox (§4, §6). A BundleController owns
+// everything that decides a bundle's rate — congestion measurements, the
+// bundle congestion-control algorithm, Nimbus elasticity / multipath
+// detection, the PI traffic-passing controller, the feedback watchdog, and
+// epoch sizing — but owns no data plane and no timer: its SendboxManager
+// drives ControlTick() every control_interval from one tick shared by every
+// bundle of the site, and exposes the site's SiteEgress hierarchy through the
+// BundleDataplane seam below. Net::bundle_controller(bundle) hands out the
+// controller of any admitted bundle, which makes it the per-bundle
+// introspection surface (mode and rate logs, watchdog state, measurements).
 #ifndef SRC_BUNDLER_BUNDLE_CONTROLLER_H_
 #define SRC_BUNDLER_BUNDLE_CONTROLLER_H_
 
@@ -36,8 +34,8 @@ enum class BundlerMode {
 
 const char* BundlerModeName(BundlerMode mode);
 
-// Everything the control loop needs to know, shared verbatim between the
-// standalone Sendbox (whose Config derives from this) and managed bundles.
+// Everything the control loop needs to know (SendboxConfig in
+// src/bundler/sendbox_manager.h adds the bundle's scheduler).
 // Field-by-field semantics are documented where each subsystem lives; the
 // watchdog and robust-elasticity knobs carry their own design notes.
 struct BundleControlConfig {
@@ -181,10 +179,9 @@ class BundleController {
   enum class WatchdogCause { kNone, kStale, kDelay };
 
   // `obs_name` keys every trace component and counter this controller
-  // registers ("s0-s1" for a standalone sendbox, tenant-qualified for
-  // managed bundles). Registration happens here, so the pointers below are
-  // never null afterwards. No events are scheduled: the owner calls
-  // ControlTick() every config.control_interval.
+  // registers (the site pair, e.g. "s10-s100"). Registration happens here,
+  // so the pointers below are never null afterwards. No events are
+  // scheduled: the owner calls ControlTick() every config.control_interval.
   BundleController(Simulator* sim, const BundleControlConfig& config,
                    BundleDataplane* dataplane, const std::string& obs_name);
   BundleController(const BundleController&) = delete;
@@ -200,8 +197,12 @@ class BundleController {
   // dataplane seam). Call every config.control_interval.
   void ControlTick();
 
-  // --- Introspection (the Sendbox accessor surface delegates here) ---
+  // --- Introspection ---
   BundlerMode mode() const { return mode_; }
+  // The rate the data plane enforces for this bundle right now, and the
+  // backlog that rate governs.
+  Rate shaped_rate() const { return dp_->ShapedRate(); }
+  int64_t queue_bytes() const { return dp_->QueueBytes(); }
   bool watchdog_degraded() const { return wd_degraded_; }
   WatchdogCause watchdog_cause() const { return wd_cause_; }
   const std::vector<std::pair<TimePoint, WatchdogEvent>>& watchdog_log() const {
@@ -217,7 +218,7 @@ class BundleController {
   }
   // Enforced rate (Mbps) sampled every control tick.
   const TimeSeries& rate_log() const { return rate_log_; }
-  // Shaper queueing delay estimate (ms) per control tick (queue/rate).
+  // Queueing delay estimate at the sendbox (ms) per control tick (queue/rate).
   const TimeSeries& queue_delay_log() const { return queue_delay_log_; }
 
  private:

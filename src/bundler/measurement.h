@@ -1,5 +1,5 @@
-// Sendbox measurement engine (§4.5, Fig. 4). Records epoch boundary packets
-// as they leave the shaper; matches congestion-ACK feedback from the
+// The sendbox's measurement engine (§4.5, Fig. 4). Records epoch boundary
+// packets as they leave the shaper; matches congestion-ACK feedback from the
 // receivebox against those records; derives RTT, send rate, and receive rate
 // per epoch; aggregates them over a sliding window of roughly one RTT; and
 // tracks the out-of-order feedback fraction used for multipath detection

@@ -4,9 +4,37 @@
 #include <utility>
 
 #include "src/obs/trace.h"
+#include "src/qdisc/fifo.h"
+#include "src/qdisc/fq_codel.h"
+#include "src/qdisc/prio.h"
+#include "src/qdisc/sfq.h"
 #include "src/util/check.h"
 
 namespace bundler {
+
+std::unique_ptr<Qdisc> MakeScheduler(SchedulerType type, int64_t limit_pkts,
+                                     uint64_t perturbation) {
+  switch (type) {
+    case SchedulerType::kFifo:
+      return std::make_unique<DropTailFifo>(limit_pkts * kMtuBytes);
+    case SchedulerType::kSfq: {
+      Sfq::Config cfg;
+      cfg.limit_packets = limit_pkts;
+      cfg.perturbation = perturbation;
+      return std::make_unique<Sfq>(cfg);
+    }
+    case SchedulerType::kFqCodel: {
+      FqCodel::Config cfg;
+      cfg.limit_packets = limit_pkts;
+      cfg.perturbation = perturbation;
+      return std::make_unique<FqCodel>(cfg);
+    }
+    case SchedulerType::kPrio:
+      return std::make_unique<StrictPrio>(3, limit_pkts * kMtuBytes / 3);
+  }
+  BUNDLER_CHECK(false);
+  return nullptr;
+}
 
 namespace {
 std::string PairName(const BundleControlConfig& config) {
@@ -36,7 +64,7 @@ void SendboxManager::Slot::SetShapedRate(Rate rate) {
 
 void SendboxManager::Slot::SendControl(Packet pkt) {
   // Epoch ctl is 40 bytes of control plane: straight to the uplink, never
-  // shaped (the 1-tenant facade does the same).
+  // shaped.
   mgr->egress_handler_->HandlePacket(std::move(pkt));
 }
 
@@ -105,7 +133,7 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
     BUNDLER_CHECK_MSG(
         decl.control.control_interval == policy_.control_interval,
         "bundle %zu: control interval differs from the site's shared tick "
-        "(all bundles of a managed site ride one timer)",
+        "(all bundles of a site ride one timer)",
         i);
     max_site = std::max(max_site, decl.control.remote_site);
 
@@ -133,6 +161,7 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
       spec.tenant = decl.tenant;
       spec.class_weight = decl.class_weight;
       spec.initial_rate = decl.control.initial_rate;
+      spec.qdisc_factory = decl.control.scheduler_factory;
       admitted_specs.push_back(spec);
       *ctr_admitted_ += 1;
       tracer.Trace(obs::TraceCat::kTenant, obs::TraceEv::kTenantAdmit, comp_,
@@ -147,7 +176,6 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
   egress_config.aggregate_rate = policy_.aggregate_rate;
   egress_config.burst_bytes = policy_.burst_bytes;
   egress_config.per_bundle_queue_pkts = policy_.per_bundle_queue_pkts;
-  egress_config.bundle_qdisc_factory = policy_.bundle_qdisc_factory;
   egress_ = std::make_unique<SiteEgress>(
       sim_, egress_config, std::move(tenant_specs), std::move(admitted_specs),
       [this](size_t slot, Packet pkt) { OnBundleEgress(slot, std::move(pkt)); },
@@ -158,7 +186,7 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
     const BundleDecl& decl = bundles[i];
     const SiteId remote = decl.control.remote_site;
     BUNDLER_CHECK_MSG(slot_of_site_[remote] == -1,
-                      "two managed bundles share destination site %u (the "
+                      "two bundles share destination site %u (the "
                       "receivebox ctl address would be ambiguous)",
                       remote);
     if (decls_[i].slot < 0) {
@@ -166,8 +194,18 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
     }
     slot_of_site_[remote] = decls_[i].slot;
     Slot& slot = *slots_[static_cast<size_t>(decls_[i].slot)];
-    slot.ctl = std::make_unique<BundleController>(sim_, decl.control, &slot,
-                                                  PairName(decl.control));
+    const std::string pair = PairName(decl.control);
+    slot.ctl = std::make_unique<BundleController>(sim_, decl.control, &slot, pair);
+    // The bundle's scheduler publishes under the sendbox's per-bundle queue
+    // namespace; FIFO-ring bundles are covered by their tenant's counters.
+    if (Qdisc* q = egress_->bundle_qdisc(slot.idx)) {
+      q->BindObs(&tracer, tracer.RegisterComponent("qdisc", "sendbox." + pair));
+      const Qdisc::Counters& qc = q->counters();
+      reg.Expose("qdisc.sendbox." + pair + ".enq_pkts", &qc.enq_pkts);
+      reg.Expose("qdisc.sendbox." + pair + ".deq_pkts", &qc.deq_pkts);
+      reg.Expose("qdisc.sendbox." + pair + ".drop_pkts", &qc.drop_pkts);
+      reg.Expose("qdisc.sendbox." + pair + ".mark_pkts", &qc.mark_pkts);
+    }
   }
 
   // One shared periodic tick drives every admitted controller, in admission
@@ -255,6 +293,11 @@ Rate SendboxManager::bundle_rate(size_t bundle) const {
 int64_t SendboxManager::bundle_queue_bytes(size_t bundle) const {
   BUNDLER_CHECK(admitted(bundle));
   return egress_->bundle_queue_bytes(static_cast<size_t>(decls_[bundle].slot));
+}
+
+const Qdisc* SendboxManager::bundle_qdisc(size_t bundle) const {
+  BUNDLER_CHECK(admitted(bundle));
+  return egress_->bundle_qdisc(static_cast<size_t>(decls_[bundle].slot));
 }
 
 size_t SendboxManager::tenant_of(size_t bundle) const {

@@ -1,9 +1,11 @@
-// SendboxManager: one site's multi-tenant bundle control plane. Where the
-// classic Sendbox pairs one control loop with one private shaper, the manager
-// runs N BundleControllers (one per admitted bundle) against a single shared
-// SiteEgress hierarchy (site aggregate -> priority bands -> tenant DRR ->
-// bundle DRR) and drives them all from ONE periodic control tick, so a site
-// can host hundreds of bundles without hundreds of timers.
+// SendboxManager: the sendbox (§4, §6) of one site — the only sendbox data
+// plane. It runs N BundleControllers (one per admitted bundle) against a
+// single shared SiteEgress hierarchy (site aggregate -> priority bands ->
+// tenant DRR -> bundle queue) and drives them all from ONE periodic control
+// tick, so a site can host hundreds of bundles without hundreds of timers.
+// The paper's one-bundle sendbox is the degenerate case: NetBuilder puts a
+// bundle that names no tenant into its site's implicit tenant, where it
+// queues through its own scheduler.
 //
 // Admission control runs once at construction, in bundle declaration order:
 // a bundle is admitted while (a) the concurrent-bundle cap has room and
@@ -13,6 +15,10 @@
 // every verdict is visible via admit.<site>.* counters and kTenant trace
 // records.
 //
+// Counter namespaces line up by level: qdisc.sendbox.<pair>.* per bundle
+// queue (bundles with a scheduler qdisc), sendbox.<pair>.* per controller,
+// tenant.<name>.* per tenant, admit.<site>.* per site.
+//
 // Demultiplexing is allocation-free: every per-bundle lookup is a flat
 // remote-site -> slot table index (a bundle's destination site keys both its
 // outbound data and its returning feedback, since receivebox feedback is
@@ -20,6 +26,7 @@
 #ifndef SRC_BUNDLER_SENDBOX_MANAGER_H_
 #define SRC_BUNDLER_SENDBOX_MANAGER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,9 +34,28 @@
 #include "src/bundler/bundle_controller.h"
 #include "src/bundler/site_egress.h"
 #include "src/net/node.h"
+#include "src/qdisc/qdisc.h"
 #include "src/sim/simulator.h"
 
 namespace bundler {
+
+enum class SchedulerType { kFifo, kSfq, kFqCodel, kPrio };
+
+std::unique_ptr<Qdisc> MakeScheduler(SchedulerType type, int64_t limit_pkts,
+                                     uint64_t perturbation = 0);
+
+// One bundle's sendbox config: its control loop plus its scheduler (the
+// operator's policy inside the bundle, SFQ by default so short requests
+// bypass bulk). `scheduler_factory`, when set, overrides `scheduler` (e.g.
+// custom priority classifiers). `scheduler`/`queue_limit_pkts` describe a
+// tenant-less bundle's queue (NetBuilder resolves them into the factory);
+// a bundle of a declared tenant without a factory queues on the site's
+// preallocated FIFO ring (Policy::per_bundle_queue_pkts).
+struct SendboxConfig : BundleControlConfig {
+  SchedulerType scheduler = SchedulerType::kSfq;
+  int64_t queue_limit_pkts = 4000;
+  std::function<std::unique_ptr<Qdisc>()> scheduler_factory;
+};
 
 class SendboxManager : public PacketHandler {
  public:
@@ -39,12 +65,9 @@ class SendboxManager : public PacketHandler {
     int max_bundles = 256;                // concurrent-bundle admission cap
     // Aggregate committed-rate budget for admission; zero = aggregate_rate.
     Rate admission_budget = Rate::Zero();
+    // FIFO ring capacity of bundles without a scheduler qdisc.
     int64_t per_bundle_queue_pkts = 512;
     int64_t burst_bytes = 2 * kMtuBytes;
-    // Optional per-bundle qdisc (forwarded to SiteEgress::Config): when set,
-    // each bundle schedules internally through its own instance (e.g. SFQ,
-    // matching the classic facade) instead of the preallocated FIFO ring.
-    std::function<std::unique_ptr<Qdisc>()> bundle_qdisc_factory;
     // The single shared control tick period. Every bundle's control config
     // must agree (enforced with a readable CHECK).
     TimeDelta control_interval = TimeDelta::Millis(10);
@@ -61,12 +84,12 @@ class SendboxManager : public PacketHandler {
   };
 
   // One declared bundle: which tenant it belongs to, its service-class DRR
-  // weight within that tenant, and the full per-bundle control-loop config
-  // (local/remote sites, ctl addresses, cc choice, watchdog, ...).
+  // weight within that tenant, and its sendbox config (local/remote sites,
+  // ctl addresses, cc choice, watchdog, ..., and its scheduler factory).
   struct BundleDecl {
     size_t tenant = 0;  // index into the tenant table
     double class_weight = 1.0;
-    BundleControlConfig control;
+    SendboxConfig control;
   };
 
   enum class RejectCause { kNone = 0, kBundleCap, kRateBudget };
@@ -97,6 +120,8 @@ class SendboxManager : public PacketHandler {
   // Current enforced rate / backlog for an admitted bundle.
   Rate bundle_rate(size_t bundle) const;
   int64_t bundle_queue_bytes(size_t bundle) const;
+  // The admitted bundle's scheduler; nullptr when it queues on the FIFO ring.
+  const Qdisc* bundle_qdisc(size_t bundle) const;
   size_t tenant_of(size_t bundle) const;
   const std::string& tenant_name(size_t tenant) const {
     return tenant_names_[tenant];
@@ -112,8 +137,8 @@ class SendboxManager : public PacketHandler {
  private:
   // BundleDataplane seam for one admitted bundle: rate changes land on the
   // shared hierarchy's per-bundle bucket (deferred kick during the shared
-  // tick), backlog reads come from its ring, epoch ctl bypasses the
-  // hierarchy (control packets are never shaped, as in the 1-tenant facade).
+  // tick), backlog reads come from its queue, epoch ctl bypasses the
+  // hierarchy (control packets are never shaped).
   struct Slot : BundleDataplane {
     SendboxManager* mgr = nullptr;
     size_t idx = 0;  // egress hierarchy index == admission order

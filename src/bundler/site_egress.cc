@@ -61,13 +61,9 @@ SiteEgress::SiteEgress(Simulator* sim, const Config& config,
     bun.tenant = spec.tenant;
     bun.quantum = std::max<int64_t>(
         1, static_cast<int64_t>(spec.class_weight * kMtuBytes));
-    if (config_.bundle_qdisc_factory) {
-      bun.qdisc = config_.bundle_qdisc_factory();
+    if (spec.qdisc_factory) {
+      bun.qdisc = spec.qdisc_factory();
       BUNDLER_CHECK(bun.qdisc != nullptr);
-      bun.qdisc->BindObs(
-          &tracer, tracer.RegisterComponent(
-                       "qdisc", obs_name + ".b" +
-                                    std::to_string(bundles_.size())));
     } else {
       bun.queue.slots.resize(
           static_cast<size_t>(config_.per_bundle_queue_pkts));
@@ -194,8 +190,8 @@ void SiteEgress::SetBundleRate(size_t bundle, Rate rate, bool kick) {
 
 void SiteEgress::Kick() {
   // A rate increase may make a blocked head transmittable earlier than the
-  // armed wakeup; re-evaluate, moving the armed slot in place (same pattern
-  // as Shaper::SetRate).
+  // armed wakeup; re-evaluate, moving the armed slot in place (fresh FIFO
+  // ordering, same as cancel+push, without the churn).
   rearm_pending_ = pending_timer_ != kInvalidEventId;
   Pump();
   if (rearm_pending_) {
@@ -225,6 +221,16 @@ int64_t SiteEgress::bundle_queue_pkts(size_t bundle) const {
 uint64_t SiteEgress::bundle_drops(size_t bundle) const {
   BUNDLER_CHECK(bundle < bundles_.size());
   return bundles_[bundle].drops;
+}
+
+Qdisc* SiteEgress::bundle_qdisc(size_t bundle) {
+  BUNDLER_CHECK(bundle < bundles_.size());
+  return bundles_[bundle].qdisc.get();
+}
+
+const Qdisc* SiteEgress::bundle_qdisc(size_t bundle) const {
+  BUNDLER_CHECK(bundle < bundles_.size());
+  return bundles_[bundle].qdisc.get();
 }
 
 uint64_t SiteEgress::tenant_tx_bytes(size_t tenant) const {

@@ -6,9 +6,9 @@
 //
 // with nested rate enforcement at every level (site aggregate bucket, an
 // optional per-tenant cap bucket, and a per-bundle bucket set by that
-// bundle's BundleController every control tick). This is the data-plane half
-// of the sendbox split: controllers decide rates, SiteEgress is the one
-// place that moves packets.
+// bundle's BundleController every control tick). This is the sendbox's data
+// plane: controllers decide rates, SiteEgress is the one place that queues,
+// schedules and shapes bundle packets.
 //
 // Invariants the tests pin down:
 //  - Zero allocations per datapath operation: bundle queues are preallocated
@@ -49,12 +49,6 @@ class SiteEgress {
     Rate aggregate_rate = Rate::Gbps(1);   // site uplink shaping budget
     int64_t burst_bytes = 2 * kMtuBytes;   // every bucket's burst allowance
     int64_t per_bundle_queue_pkts = 512;   // drop-tail limit per bundle ring
-    // When set, each bundle queues through its own instance from this
-    // factory (operator-chosen scheduling *inside* the bundle, e.g. SFQ so
-    // short requests bypass bulk — the classic Sendbox default) instead of
-    // the preallocated FIFO ring. The ring stays the default: it is the
-    // zero-allocation datapath the scheduler-churn bench gates.
-    std::function<std::unique_ptr<Qdisc>()> bundle_qdisc_factory;
   };
 
   struct TenantSpec {
@@ -70,6 +64,10 @@ class SiteEgress {
     double class_weight = 1.0;  // DRR share among the tenant's own bundles
                                 // (the service-class knob)
     Rate initial_rate = Rate::Mbps(12);  // until the controller's first tick
+    // Operator-chosen scheduling *inside* the bundle (e.g. SFQ so short
+    // requests bypass bulk). Null = the preallocated FIFO ring, the
+    // zero-allocation datapath the scheduler-churn bench gates.
+    std::function<std::unique_ptr<Qdisc>()> qdisc_factory = nullptr;
   };
 
   // `out(bundle, pkt)` receives every transmitted packet (the owner does
@@ -103,6 +101,9 @@ class SiteEgress {
   int64_t bundle_queue_bytes(size_t bundle) const;
   int64_t bundle_queue_pkts(size_t bundle) const;
   uint64_t bundle_drops(size_t bundle) const;
+  // The bundle's scheduler qdisc; nullptr for a FIFO-ring bundle.
+  Qdisc* bundle_qdisc(size_t bundle);
+  const Qdisc* bundle_qdisc(size_t bundle) const;
   uint64_t tenant_tx_bytes(size_t tenant) const;
   uint64_t tenant_tx_pkts(size_t tenant) const;
   uint64_t forwarded_packets() const { return forwarded_packets_; }
@@ -120,7 +121,7 @@ class SiteEgress {
 
   struct Bundle {
     PacketRing queue;             // used when qdisc is null
-    std::unique_ptr<Qdisc> qdisc; // used when Config::bundle_qdisc_factory set
+    std::unique_ptr<Qdisc> qdisc; // used when BundleSpec::qdisc_factory set
     TokenBucket bucket;
     size_t tenant = 0;
     int64_t quantum = kMtuBytes;  // class_weight x MTU
@@ -187,7 +188,7 @@ class SiteEgress {
   int64_t total_backlog_pkts_ = 0;
   uint64_t forwarded_packets_ = 0;
 
-  // Pump wakeup state (the Shaper's rearm-in-place pattern).
+  // Pump wakeup state: one pooled timer slot, moved in place on rearm.
   EventId pending_timer_ = kInvalidEventId;
   bool rearm_pending_ = false;
   bool in_pump_ = false;

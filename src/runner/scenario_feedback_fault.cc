@@ -17,9 +17,9 @@
 //    buys at the extreme.
 //
 // Both are robustness scenarios, so their bundler arms run with
-// Sendbox::Config::warm_restart on (see sendbox.h: the pinned figures keep
-// it off; graceful degradation without warm recovery would re-collapse the
-// bundle at every re-sync).
+// BundleControlConfig::warm_restart on (see bundle_controller.h: the pinned
+// figures keep it off; graceful degradation without warm recovery would
+// re-collapse the bundle at every re-sync).
 #include <string>
 
 #include "src/app/workload.h"
@@ -99,7 +99,7 @@ NetBuilder FaultedDumbbell(const Variant& v, const FaultProfileSpec& fault,
 // Shared trial body: build the faulted dumbbell, run the §7.1 web workload
 // through it, and report FCT windows plus watchdog/fault forensics.
 TrialResult RunFaultTrial(const Variant& v, const FaultProfileSpec& fault,
-                          uint64_t seed) {
+                          const TrialPoint& point) {
   Simulator sim;
   BeginTrialObs(&sim);
   DumbbellGraph g;
@@ -111,7 +111,7 @@ TrialResult RunFaultTrial(const Variant& v, const FaultProfileSpec& fault,
   WebWorkloadConfig wl;
   wl.offered_load = kWebLoad;
   PoissonWebWorkload web(&sim, net->flows(), net->host(g.servers[0]),
-                         net->host(g.clients[0]), &kCdf, wl, seed, &fct);
+                         net->host(g.clients[0]), &kCdf, wl, point.seed, &fct);
 
   sim.RunUntil(At(kDuration));
 
@@ -138,31 +138,31 @@ TrialResult RunFaultTrial(const Variant& v, const FaultProfileSpec& fault,
   r.scalars["ctl_passed"] = static_cast<double>(fs.passed);
 
   if (v.bundler_on) {
-    Sendbox* sb = net->sendbox(0);
+    BundleController* ctl = net->bundle_controller(0);
     r.scalars["feedback_matched_per_sec"] =
-        static_cast<double>(sb->measurement().feedback_matched()) /
+        static_cast<double>(ctl->measurement().feedback_matched()) /
         kDuration.ToSeconds();
-    r.scalars["mode_transitions"] = static_cast<double>(sb->mode_log().size());
+    r.scalars["mode_transitions"] = static_cast<double>(ctl->mode_log().size());
   }
   if (v.watchdog) {
-    Sendbox* sb = net->sendbox(0);
+    BundleController* ctl = net->bundle_controller(0);
     // Watchdog forensics, straight from the state-machine log: how long after
     // the fault began did the sendbox degrade, how many probes it issued, and
     // how long after feedback could flow again did it re-sync. -1 = never.
     double degrade_ms = -1;
     double resync_ms = -1;
     double probes = 0;
-    for (const auto& [t, ev] : sb->watchdog_log()) {
+    for (const auto& [t, ev] : ctl->watchdog_log()) {
       switch (ev) {
-        case Sendbox::WatchdogEvent::kDegrade:
+        case BundleController::WatchdogEvent::kDegrade:
           if (degrade_ms < 0 && t >= At(kBlackoutStart)) {
             degrade_ms = (t - At(kBlackoutStart)).ToMillis();
           }
           break;
-        case Sendbox::WatchdogEvent::kProbe:
+        case BundleController::WatchdogEvent::kProbe:
           ++probes;
           break;
-        case Sendbox::WatchdogEvent::kResync:
+        case BundleController::WatchdogEvent::kResync:
           if (resync_ms < 0 && t >= At(kBlackoutEnd)) {
             resync_ms = (t - At(kBlackoutEnd)).ToMillis();
           }
@@ -172,8 +172,9 @@ TrialResult RunFaultTrial(const Variant& v, const FaultProfileSpec& fault,
     r.scalars["wd_degrade_latency_ms"] = degrade_ms;
     r.scalars["wd_resync_latency_ms"] = resync_ms;
     r.scalars["wd_probes"] = probes;
-    r.scalars["wd_degraded_at_end"] = sb->watchdog_degraded() ? 1.0 : 0.0;
+    r.scalars["wd_degraded_at_end"] = ctl->watchdog_degraded() ? 1.0 : 0.0;
   }
+  EndTrialObs(&sim, point, &r);
   return r;
 }
 
@@ -190,9 +191,7 @@ TrialResult RunBlackoutTrial(const TrialPoint& point) {
   if (point.shards > 0) {
     CheckDumbbellIndivisible(FaultConfig(v));
   }
-  TrialResult r = RunFaultTrial(v, BlackoutProfile(point.seed), point.seed);
-  // Blackout-specific bookkeeping is folded in by RunFaultTrial; nothing else.
-  return r;
+  return RunFaultTrial(v, BlackoutProfile(point.seed), point);
 }
 
 TrialResult RunLossSweepTrial(const TrialPoint& point) {
@@ -204,7 +203,7 @@ TrialResult RunLossSweepTrial(const TrialPoint& point) {
   fault.target = FaultTarget::kCtl;
   fault.loss_prob = point.Param("feedback_loss");
   fault.seed = FaultSeed(point.seed);
-  return RunFaultTrial(v, fault, point.seed);
+  return RunFaultTrial(v, fault, point);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Dumbbell topology mirroring the paper's emulation setup (§7.1): per-bundle
-// sender sites behind sendboxes, a shared bottleneck link (optionally
-// load-balanced across N paths, optionally with in-network fair queueing for
-// the "In-Network" baseline), receiveboxes at the far side, receiver sites,
-// and a fat reverse path carrying ACKs and Bundler feedback. Unbundled cross
+// sender sites behind sendboxes (each site's SendboxManager with one
+// tenant-less bundle), a shared bottleneck link (optionally load-balanced
+// across N paths, optionally with in-network fair queueing for the
+// "In-Network" baseline), receiveboxes at the far side, receiver sites, and a
+// fat reverse path carrying ACKs and Bundler feedback. Unbundled cross
 // traffic enters at the bottleneck router and exits behind the receiveboxes.
 //
 //   server_i -> sendbox_i -> edge_i \                        / -> client_i
@@ -30,14 +31,7 @@ struct DumbbellConfig {
 
   int num_bundles = 1;
   bool bundler_enabled = true;
-  Sendbox::Config sendbox;  // site/address fields are filled in per bundle
-  // Routes every bundle through its source site's SendboxManager (one tenant
-  // per site) instead of a standalone Sendbox facade: same control loop, but
-  // the data plane is the hierarchical site egress and the per-bundle queue
-  // limit maps onto the manager's preallocated ring. The §7 figures keep the
-  // classic facade (pinned goldens); proxy-style scenarios that need big
-  // sendbox buffers at scale set this.
-  bool managed = false;
+  SendboxConfig sendbox;  // site/address fields are filled in per bundle
 
   int num_paths = 1;  // >1 = load-balanced bottleneck (§5.2 / §7.6)
   TimeDelta path_delay_spread = TimeDelta::Zero();  // extra delay per path index
@@ -93,8 +87,8 @@ class Dumbbell {
   Host* cross_server() { return net_->host(graph_.cross_server); }
   Host* cross_client() { return net_->host(graph_.cross_client); }
 
-  // Null when the bundler is disabled.
-  Sendbox* sendbox(int bundle = 0);
+  // Null when the bundler is disabled. Per-bundle sendbox state is
+  // net()->bundle_controller(bundle).
   Receivebox* receivebox(int bundle = 0);
 
   // Single-path accessors (CHECK-fail when num_paths > 1).

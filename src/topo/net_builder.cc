@@ -144,16 +144,6 @@ NetBuilder::BundleId NetBuilder::AddBundle(const BundleSpec& spec) {
                     "bundle src and dst are both site '%s'",
                     nodes_[static_cast<size_t>(spec.src_site)].name.c_str());
   for (const BundleSpec& other : bundles_) {
-    // Many bundles may share a source site ONLY when all of them are managed
-    // (they multiplex through one SendboxManager); a standalone sendbox still
-    // claims the site egress exclusively, and mixing the two on one site
-    // would put two shapers in series.
-    BUNDLER_CHECK_MSG(other.src_site != spec.src_site ||
-                          (!spec.tenant.empty() && !other.tenant.empty()),
-                      "two bundles originate at site '%s' (one sendbox per site "
-                      "egress; declare tenants on both to multiplex them through "
-                      "one SendboxManager)",
-                      nodes_[static_cast<size_t>(spec.src_site)].name.c_str());
     // Control addresses are (site, kBundlerCtlHost): a shared destination
     // site would give both receiveboxes the same self_ctl_addr, and the
     // first on the path would consume the other bundle's epoch updates.
@@ -172,10 +162,10 @@ NetBuilder::BundleId NetBuilder::AddBundle(const BundleSpec& spec) {
                       "'%s' (AddTenant first)",
                       spec.tenant.c_str(),
                       nodes_[static_cast<size_t>(spec.src_site)].name.c_str());
-    BUNDLER_CHECK_MSG(spec.class_weight > 0.0,
-                      "bundle for tenant '%s' needs a positive class_weight",
-                      spec.tenant.c_str());
   }
+  BUNDLER_CHECK_MSG(spec.class_weight > 0.0,
+                    "bundle from site '%s' needs a positive class_weight",
+                    nodes_[static_cast<size_t>(spec.src_site)].name.c_str());
   bundles_.push_back(spec);
   return static_cast<BundleId>(bundles_.size()) - 1;
 }
@@ -348,23 +338,6 @@ void NetBuilder::Validate() const {
     BUNDLER_CHECK_MSG(egress == 1,
                       "site '%s' has %zu egress edges; a site needs exactly one",
                       nodes_[n].name.c_str(), egress);
-  }
-
-  // A managed site (one with declared tenants) owns its egress through the
-  // SendboxManager; a classic bundle's standalone sendbox would put a second
-  // shaper in series with it.
-  for (const BundleSpec& bundle : bundles_) {
-    if (!bundle.tenant.empty()) {
-      continue;
-    }
-    for (const auto& [node, ten] : tenants_) {
-      BUNDLER_CHECK_MSG(node != bundle.src_site,
-                        "site '%s' declares tenant '%s' but also originates a "
-                        "classic (tenant-less) bundle; a site is either classic "
-                        "or managed, not both",
-                        nodes_[static_cast<size_t>(bundle.src_site)].name.c_str(),
-                        ten.name.c_str());
-    }
   }
 }
 
@@ -557,31 +530,26 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
     }
   }
 
-  // --- Phase 6: sendboxes and sendbox managers, in bundle declaration
-  // order. This is the only construction that schedules events (control
-  // ticks), so declaration order fixes the event-id assignment and with it
-  // byte-level determinism. A classic bundle constructs its standalone
-  // sendbox; the FIRST managed bundle of a site constructs that site's
-  // manager with every bundle the site declares (all later ones are already
-  // covered). ---
-  // Completes the builder-filled fields of a bundle's control config.
-  auto control_config = [&](const BundleSpec& bundle) {
-    Sendbox::Config sc = bundle.sendbox;
-    const NodeDecl& src = nodes_[static_cast<size_t>(bundle.src_site)];
-    const NodeDecl& dst = nodes_[static_cast<size_t>(bundle.dst_site)];
-    sc.local_site = src.site;
-    sc.remote_site = dst.site;
-    sc.ctl_addr = MakeAddress(src.site, kBundlerCtlHost);
-    sc.receivebox_ctl_addr = MakeAddress(dst.site, kBundlerCtlHost);
-    return sc;
-  };
+  // --- Phase 6: sendbox managers, one per site that originates a bundle or
+  // declares a tenant, in order of each site's first bundle (then
+  // tenant-only sites). This is the only construction that schedules events
+  // (control ticks), so declaration order fixes the event-id assignment and
+  // with it byte-level determinism. ---
   auto build_manager = [&](NodeId site_node) {
     const NodeDecl& src = nodes_[static_cast<size_t>(site_node)];
+    const std::string site_name = "s" + std::to_string(src.site);
+    const EdgeId egress = site_egress[static_cast<size_t>(site_node)];
     SendboxManager::Policy policy;
+    bool derive_policy = true;
     for (const auto& [node, p] : site_policies_) {
       if (node == site_node) {
         policy = p;
+        derive_policy = false;
       }
+    }
+    const EdgeDecl& uplink = edges_[static_cast<size_t>(egress)];
+    if (derive_policy && uplink.kind == EdgeKind::kLink) {
+      policy.aggregate_rate = uplink.link.rate;
     }
     std::vector<SendboxManager::TenantPolicy> site_tenants;
     for (const auto& [node, ten] : tenants_) {
@@ -595,47 +563,60 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
           return t;
         }
       }
-      BUNDLER_CHECK(false);
-      return size_t{0};
+      // AddBundle checked named tenants, so this is the implicit tenant of
+      // tenant-less bundles: appended on first use. It commits no rate, so
+      // no uplink is too slow to admit its bundles.
+      SendboxManager::TenantPolicy implicit;
+      implicit.name = name;
+      implicit.committed_rate = Rate::Zero();
+      site_tenants.push_back(implicit);
+      return site_tenants.size() - 1;
     };
     std::vector<SendboxManager::BundleDecl> decls;
     for (size_t b = 0; b < bundles_.size(); ++b) {
-      if (bundles_[b].src_site != site_node) {
+      const BundleSpec& bundle = bundles_[b];
+      if (bundle.src_site != site_node) {
         continue;
       }
+      const NodeDecl& dst = nodes_[static_cast<size_t>(bundle.dst_site)];
       SendboxManager::BundleDecl decl;
-      decl.tenant = tenant_index(bundles_[b].tenant);
-      decl.class_weight = bundles_[b].class_weight;
-      decl.control = control_config(bundles_[b]);
-      net->managed_slot_[b] = {site_node, static_cast<int>(decls.size())};
+      decl.tenant = tenant_index(bundle.tenant.empty() ? site_name : bundle.tenant);
+      decl.class_weight = bundle.class_weight;
+      decl.control = bundle.sendbox;
+      decl.control.local_site = src.site;
+      decl.control.remote_site = dst.site;
+      decl.control.ctl_addr = MakeAddress(src.site, kBundlerCtlHost);
+      decl.control.receivebox_ctl_addr = MakeAddress(dst.site, kBundlerCtlHost);
+      if (bundle.tenant.empty() && !decl.control.scheduler_factory) {
+        const SchedulerType type = bundle.sendbox.scheduler;
+        const int64_t limit = bundle.sendbox.queue_limit_pkts;
+        decl.control.scheduler_factory = [type, limit]() {
+          return MakeScheduler(type, limit);
+        };
+      }
+      if (derive_policy && decls.empty()) {
+        policy.control_interval = bundle.sendbox.control_interval;
+      }
+      net->bundle_slot_[b] = {site_node, static_cast<int>(decls.size())};
       decls.push_back(std::move(decl));
     }
-    EdgeId egress = site_egress[static_cast<size_t>(site_node)];
     net->managers_[static_cast<size_t>(site_node)] =
         std::make_unique<SendboxManager>(
             sim_of(site_node), policy, std::move(site_tenants),
             std::move(decls), src.site,
             MakeAddress(src.site, kBundlerCtlHost),
-            net->edge_entries_[static_cast<size_t>(egress)],
-            "s" + std::to_string(src.site));
+            net->edge_entries_[static_cast<size_t>(egress)], site_name);
   };
-  net->sendboxes_.resize(bundles_.size());
   net->managers_.resize(nodes_.size());
-  net->managed_slot_.assign(bundles_.size(), {-1, -1});
-  for (size_t b = 0; b < bundles_.size(); ++b) {
-    const BundleSpec& bundle = bundles_[b];
-    if (bundle.tenant.empty()) {
-      EdgeId egress = site_egress[static_cast<size_t>(bundle.src_site)];
-      net->sendboxes_[b] = std::make_unique<Sendbox>(
-          sim_of(bundle.src_site), control_config(bundle),
-          net->edge_entries_[static_cast<size_t>(egress)]);
-    } else if (net->managers_[static_cast<size_t>(bundle.src_site)] == nullptr) {
+  net->bundle_slot_.assign(bundles_.size(), {-1, -1});
+  for (const BundleSpec& bundle : bundles_) {
+    if (net->managers_[static_cast<size_t>(bundle.src_site)] == nullptr) {
       build_manager(bundle.src_site);
     }
   }
-  // Managed sites whose tenants declared no bundles yet still get their
-  // manager (admission machinery, counters, and the shared tick exist even
-  // when every tenant is idle), after all bundle-driven construction.
+  // Sites whose tenants declared no bundles yet still get their manager
+  // (admission machinery, counters, and the shared tick exist even when
+  // every tenant is idle), after all bundle-driven construction.
   for (const auto& [node, ten] : tenants_) {
     (void)ten;
     if (net->managers_[static_cast<size_t>(node)] == nullptr) {
@@ -749,16 +730,13 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
         "out-of-band feedback loop cannot close",
         b, dst.name.c_str(), src.name.c_str());
 
-    // Feedback addressed to the sendbox control address must reach the
-    // demultiplexing point — the standalone sendbox, or the site's manager
-    // (which fans feedback out to the owning controller) — not the source
-    // host: rewrite the final-hop routers. Managed bundles of one site share
+    // Feedback addressed to the sendbox control address must reach the site's
+    // manager (which fans feedback out to the owning controller), not the
+    // source host: rewrite the final-hop routers. Bundles of one site share
     // the address and the target, so re-registration is a no-op.
     Address ctl = MakeAddress(src.site, kBundlerCtlHost);
     PacketHandler* ctl_sink =
-        bundle.tenant.empty()
-            ? static_cast<PacketHandler*>(net->sendboxes_[b].get())
-            : net->managers_[static_cast<size_t>(bundle.src_site)].get();
+        net->managers_[static_cast<size_t>(bundle.src_site)].get();
     for (size_t r = 0; r < nodes_.size(); ++r) {
       if (nodes_[r].kind != NodeKind::kRouter) {
         continue;
@@ -777,8 +755,8 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
 
   // --- Phase 9: link-schedule drivers, in declaration order. Each driver
   // schedules its first event at construction, so this must stay after the
-  // sendboxes (phase 6) to keep schedule-free graphs byte-identical to the
-  // pre-schedule builder. ---
+  // sendbox managers (phase 6) to keep schedule-free graphs byte-identical to
+  // the pre-schedule builder. ---
   net->link_schedules_.reserve(schedules_.size());
   for (const ScheduleDecl& sched : schedules_) {
     net->link_schedules_.push_back(std::make_unique<LinkScheduleDriver>(
@@ -787,23 +765,16 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
         sched.repeat_period));
   }
 
-  // --- Phase 10: host egress (through the sendbox or the site's manager
-  // where one is attached). ---
+  // --- Phase 10: host egress (through the site's manager where one is
+  // attached). ---
   for (size_t n = 0; n < nodes_.size(); ++n) {
     if (nodes_[n].kind != NodeKind::kSite) {
       continue;
     }
     PacketHandler* egress =
-        net->edge_entries_[static_cast<size_t>(site_egress[n])];
-    if (net->managers_[n] != nullptr) {
-      egress = net->managers_[n].get();
-    } else {
-      for (size_t b = 0; b < bundles_.size(); ++b) {
-        if (bundles_[b].src_site == static_cast<NodeId>(n)) {
-          egress = net->sendboxes_[b].get();
-        }
-      }
-    }
+        net->managers_[n] != nullptr
+            ? net->managers_[n].get()
+            : net->edge_entries_[static_cast<size_t>(site_egress[n])];
     net->hosts_[n]->set_egress(egress);
   }
 
@@ -821,10 +792,9 @@ std::string NetBuilder::ToDot(const std::string& graph_name) const {
     }
     for (size_t b = 0; b < bundles_.size(); ++b) {
       if (bundles_[b].src_site == static_cast<NodeId>(n)) {
-        label += bundles_[b].tenant.empty()
-                     ? "\\n[sendbox b" + std::to_string(b) + "]"
-                     : "\\n[b" + std::to_string(b) + " tenant " +
-                           bundles_[b].tenant + "]";
+        label += "\\n[sendbox b" + std::to_string(b) +
+                 (bundles_[b].tenant.empty() ? "" : " tenant " + bundles_[b].tenant) +
+                 "]";
       }
       if (bundles_[b].dst_site == static_cast<NodeId>(n)) {
         label += "\\n[bundle b" + std::to_string(b) + " dst]";
@@ -944,12 +914,6 @@ PacketHandler* Net::edge_entry(NetBuilder::EdgeId edge) {
   return edge_entries_[static_cast<size_t>(edge)];
 }
 
-Sendbox* Net::sendbox(NetBuilder::BundleId bundle) {
-  BUNDLER_CHECK_MSG(bundle >= 0 && static_cast<size_t>(bundle) < sendboxes_.size(),
-                    "no bundle %d", bundle);
-  return sendboxes_[static_cast<size_t>(bundle)].get();
-}
-
 Receivebox* Net::receivebox(NetBuilder::BundleId bundle) {
   BUNDLER_CHECK_MSG(bundle >= 0 && static_cast<size_t>(bundle) < receiveboxes_.size(),
                     "no bundle %d", bundle);
@@ -959,33 +923,25 @@ Receivebox* Net::receivebox(NetBuilder::BundleId bundle) {
 SendboxManager* Net::manager(NetBuilder::NodeId node) {
   BUNDLER_CHECK_MSG(node >= 0 && static_cast<size_t>(node) < managers_.size() &&
                         managers_[static_cast<size_t>(node)] != nullptr,
-                    "node %d is not a managed site", node);
+                    "node %d has no sendbox (no bundle or tenant)", node);
   return managers_[static_cast<size_t>(node)].get();
 }
 
 SendboxManager* Net::manager_of_bundle(NetBuilder::BundleId bundle) {
-  BUNDLER_CHECK_MSG(bundle >= 0 && static_cast<size_t>(bundle) < managed_slot_.size(),
+  BUNDLER_CHECK_MSG(bundle >= 0 && static_cast<size_t>(bundle) < bundle_slot_.size(),
                     "no bundle %d", bundle);
-  const auto [node, slot] = managed_slot_[static_cast<size_t>(bundle)];
-  return node < 0 ? nullptr : managers_[static_cast<size_t>(node)].get();
+  const NetBuilder::NodeId site = bundle_slot_[static_cast<size_t>(bundle)].first;
+  return managers_[static_cast<size_t>(site)].get();
 }
 
 bool Net::bundle_admitted(NetBuilder::BundleId bundle) {
-  SendboxManager* mgr = manager_of_bundle(bundle);
-  if (mgr == nullptr) {
-    return true;  // classic bundles have no admission gate
-  }
-  return mgr->admitted(
-      static_cast<size_t>(managed_slot_[static_cast<size_t>(bundle)].second));
+  return manager_of_bundle(bundle)->admitted(
+      static_cast<size_t>(bundle_slot_[static_cast<size_t>(bundle)].second));
 }
 
 BundleController* Net::bundle_controller(NetBuilder::BundleId bundle) {
-  SendboxManager* mgr = manager_of_bundle(bundle);
-  if (mgr == nullptr) {
-    return &sendboxes_[static_cast<size_t>(bundle)]->controller();
-  }
-  return mgr->controller(
-      static_cast<size_t>(managed_slot_[static_cast<size_t>(bundle)].second));
+  return manager_of_bundle(bundle)->controller(
+      static_cast<size_t>(bundle_slot_[static_cast<size_t>(bundle)].second));
 }
 
 QueueDelayMonitor* Net::queue_monitor(NetBuilder::MonitorId id) {

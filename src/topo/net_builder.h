@@ -10,8 +10,13 @@
 // (parking-lot multi-bottleneck, asymmetric reverse paths, ...) are a few
 // declarations instead of bespoke constructor plumbing.
 //
+// Every bundle rides its source site's SendboxManager (the one sendbox data
+// plane): bundles that name no tenant share one implicit tenant on their
+// site, and a site without an explicit egress policy shapes its aggregate
+// at its egress link's rate.
+//
 // Determinism contract: Build materializes event-scheduling components
-// (sendboxes, then link-schedule drivers) in declaration order, so two
+// (sendbox managers, then link-schedule drivers) in declaration order, so two
 // builders declaring the same graph in the same order drive byte-identical
 // simulations. A graph without link schedules produces exactly the event
 // sequence it did before schedules existed.
@@ -25,7 +30,6 @@
 #include <vector>
 
 #include "src/bundler/receivebox.h"
-#include "src/bundler/sendbox.h"
 #include "src/bundler/sendbox_manager.h"
 #include "src/net/fault_injector.h"
 #include "src/net/link.h"
@@ -69,21 +73,20 @@ class NetBuilder {
 
   // A sendbox-receivebox pair. The sendbox interposes on `src_site`'s egress
   // edge; the receivebox interposes at the delivery end of `ingress_edge`
-  // (which must lie on the forward route from src to dst). Site, address and
-  // epoch fields of `sendbox` are filled in by the builder.
+  // (which must lie on the forward route from src to dst). Site and address
+  // fields of `sendbox` are filled in by the builder.
   //
-  // With `tenant` empty the bundle is classic: the site gets a standalone
-  // Sendbox and may originate only this one bundle. Naming a tenant (declared
-  // earlier via AddTenant on the same source site) makes the bundle MANAGED:
-  // all managed bundles of a site multiplex through one SendboxManager —
-  // shared control tick, hierarchical egress, admission control — and
-  // `class_weight` sets the bundle's DRR share within its tenant. A site
-  // cannot mix classic and managed bundles.
+  // Every bundle of a site multiplexes through that site's SendboxManager —
+  // shared control tick, hierarchical egress, admission control. `tenant`
+  // names a tenant declared earlier via AddTenant on the same source site;
+  // left empty, the bundle joins the site's implicit tenant (named after the
+  // site, e.g. "s10") and queues through its own `sendbox.scheduler`.
+  // `class_weight` sets the bundle's DRR share within its tenant.
   struct BundleSpec {
     NodeId src_site = -1;
     NodeId dst_site = -1;
     EdgeId ingress_edge = -1;
-    Sendbox::Config sendbox;
+    SendboxConfig sendbox;
     std::string tenant;
     double class_weight = 1.0;
   };
@@ -101,13 +104,16 @@ class NetBuilder {
   BundleId AddBundle(const BundleSpec& spec);
 
   // --- Multi-tenant control plane (src/bundler/sendbox_manager.h) ---
-  // Declares a tenant on `site`, making the site MANAGED: its bundles (which
-  // must each name a declared tenant) ride one SendboxManager. Tenant order
-  // is declaration order; duplicate names on one site CHECK-fail.
+  // Declares a tenant on `site`; the site's SendboxManager exists even
+  // before any bundle names it. Tenant order is declaration order (the
+  // implicit tenant, when used, comes last); duplicate names on one site
+  // CHECK-fail.
   void AddTenant(NodeId site, const SendboxManager::TenantPolicy& policy);
-  // Overrides the managed site's egress policy (aggregate rate, admission
-  // caps, shared tick period). At most once per site; optional — a managed
-  // site without one uses SendboxManager::Policy defaults.
+  // Overrides the site's egress policy (aggregate rate, admission caps,
+  // shared tick period). At most once per site; optional — without one the
+  // site shapes its aggregate at its egress link's rate (other fields keep
+  // SendboxManager::Policy defaults) and ticks at its first bundle's
+  // control interval.
   void SetSiteEgressPolicy(NodeId site, const SendboxManager::Policy& policy);
 
   // Monitors observe links (every path of a multipath edge). Attach order on
@@ -262,18 +268,14 @@ class Net {
   // for wires the delivery chain). This is what a site's egress points at.
   PacketHandler* edge_entry(NetBuilder::EdgeId edge);
 
-  // Null when the edge carries no such attachment (managed bundles have a
-  // SendboxManager slot instead of a standalone sendbox).
-  Sendbox* sendbox(NetBuilder::BundleId bundle);
   Receivebox* receivebox(NetBuilder::BundleId bundle);
 
-  // The managed site's multiplexer (CHECK-fails when the node is not a
-  // managed site), and per-bundle views that work for classic and managed
-  // bundles alike: a classic bundle is always "admitted" and its controller
-  // is the facade's embedded one; a managed bundle's controller is null when
-  // admission rejected it.
+  // A site's sendbox (CHECK-fails when the node originates no bundle and
+  // declares no tenant), and per-bundle views. bundle_controller is the
+  // per-bundle introspection path (mode/rate logs, watchdog, measurements);
+  // it is null only when admission rejected the bundle.
   SendboxManager* manager(NetBuilder::NodeId node);
-  SendboxManager* manager_of_bundle(NetBuilder::BundleId bundle);  // null=classic
+  SendboxManager* manager_of_bundle(NetBuilder::BundleId bundle);
   bool bundle_admitted(NetBuilder::BundleId bundle);
   BundleController* bundle_controller(NetBuilder::BundleId bundle);
 
@@ -298,11 +300,9 @@ class Net {
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<MultipathLink>> multipaths_;
   std::vector<PacketHandler*> edge_entries_;
-  std::vector<std::unique_ptr<Sendbox>> sendboxes_;
   std::vector<std::unique_ptr<SendboxManager>> managers_;  // by site node id
-  // bundle id -> (site node, declaration slot within that site's manager);
-  // (-1, -1) for classic bundles.
-  std::vector<std::pair<NetBuilder::NodeId, int>> managed_slot_;
+  // bundle id -> (site node, declaration slot within that site's manager).
+  std::vector<std::pair<NetBuilder::NodeId, int>> bundle_slot_;
   std::vector<std::unique_ptr<Receivebox>> receiveboxes_;
   std::vector<std::unique_ptr<QueueDelayMonitor>> queue_monitors_;
   std::vector<std::unique_ptr<RateMeter>> rate_meters_;

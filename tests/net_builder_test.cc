@@ -137,27 +137,6 @@ TEST(NetBuilderValidationTest, NoReverseRouteDies) {
   EXPECT_DEATH(b.Build(&sim), "feedback loop cannot close");
 }
 
-TEST(NetBuilderValidationTest, TwoBundlesOneSiteEgressDies) {
-  NetBuilder b;
-  NetBuilder::NodeId a = b.AddSite("a", 10);
-  NetBuilder::NodeId c = b.AddSite("c", 100);
-  NetBuilder::NodeId d = b.AddSite("d", 101);
-  NetBuilder::NodeId r = b.AddRouter("r");
-  NetBuilder::EdgeId fwd = b.AddLink(a, r, {}, "fwd");
-  b.AddWire(r, c);
-  b.AddWire(r, d);
-  b.AddWire(c, r);
-  b.AddWire(d, r);
-  NetBuilder::BundleSpec b1;
-  b1.src_site = a;
-  b1.dst_site = c;
-  b1.ingress_edge = fwd;
-  b.AddBundle(b1);
-  NetBuilder::BundleSpec b2 = b1;
-  b2.dst_site = d;
-  EXPECT_DEATH(b.AddBundle(b2), "two bundles originate at site 'a'");
-}
-
 // --- Routing and plumbing on a hand-declared graph. ---
 
 TEST(NetBuilderTest, RoutesAcrossTwoRoutersAndBundlePlumbingWorks) {
@@ -196,9 +175,82 @@ TEST(NetBuilderTest, RoutesAcrossTwoRoutersAndBundlePlumbingWorks) {
                      HostCcType::kCubic, &fct);
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(5));
   EXPECT_EQ(fct.completed(), 1u);
-  EXPECT_GT(net->sendbox(0)->bytes_sent(), 200000);
+  EXPECT_GT(net->bundle_controller(0)->bytes_sent(), 200000);
   EXPECT_GT(net->receivebox(0)->bytes_received(), 200000);
   EXPECT_GT(net->receivebox(0)->feedback_sent(), 0u);
+}
+
+TEST(NetBuilderTest, TenantlessBundlesOfOneSiteShareItsManager) {
+  NetBuilder b;
+  NetBuilder::NodeId a = b.AddSite("a", 10);
+  NetBuilder::NodeId c = b.AddSite("c", 100);
+  NetBuilder::NodeId d = b.AddSite("d", 101);
+  NetBuilder::NodeId r = b.AddRouter("r");
+  NetBuilder::EdgeId fwd = b.AddLink(a, r, {}, "fwd");
+  b.AddWire(r, c);
+  b.AddWire(r, d);
+  b.AddWire(c, r);
+  b.AddWire(d, r);
+  b.AddWire(r, a);
+  NetBuilder::BundleSpec b1;
+  b1.src_site = a;
+  b1.dst_site = c;
+  b1.ingress_edge = fwd;
+  b1.sendbox.initial_rate = Rate::Mbps(10);
+  NetBuilder::BundleId id1 = b.AddBundle(b1);
+  NetBuilder::BundleSpec b2 = b1;
+  b2.dst_site = d;
+  b2.sendbox.initial_rate = Rate::Mbps(20);
+  NetBuilder::BundleId id2 = b.AddBundle(b2);
+
+  Simulator sim;
+  std::unique_ptr<Net> net = b.Build(&sim);
+  SendboxManager* mgr = net->manager(a);
+  EXPECT_EQ(net->manager_of_bundle(id1), mgr);
+  EXPECT_EQ(net->manager_of_bundle(id2), mgr);
+  EXPECT_EQ(mgr->num_bundles(), 2u);
+  EXPECT_EQ(mgr->num_tenants(), 1u);  // the site's implicit tenant
+  EXPECT_EQ(mgr->tenant_name(0), "s10");
+  BundleController* c1 = net->bundle_controller(id1);
+  BundleController* c2 = net->bundle_controller(id2);
+  ASSERT_NE(c1, nullptr);
+  ASSERT_NE(c2, nullptr);
+  EXPECT_NE(c1, c2);
+  EXPECT_EQ(c1->shaped_rate(), Rate::Mbps(10));
+  EXPECT_EQ(c2->shaped_rate(), Rate::Mbps(20));
+  EXPECT_EQ(mgr->bundle_rate(0), Rate::Mbps(10));
+  EXPECT_EQ(mgr->bundle_rate(1), Rate::Mbps(20));
+  // Each bundle keeps its own scheduler inside the shared hierarchy.
+  EXPECT_STREQ(mgr->bundle_qdisc(0)->name(), "sfq");
+  EXPECT_NE(mgr->bundle_qdisc(0), mgr->bundle_qdisc(1));
+  // One shared tick drives both control loops.
+  sim.RunUntil(TimePoint::Zero() + TimeDelta::Millis(105));
+  EXPECT_EQ(c1->rate_log().size(), 10u);
+  EXPECT_EQ(c2->rate_log().size(), 10u);
+}
+
+TEST(NetBuilderTest, TenantlessBundleAdmittedOnSlowUplink) {
+  // The implicit tenant commits no rate: an uplink slower than the default
+  // per-bundle commitment (1 Mbit/s) still admits its bundle.
+  NetBuilder b;
+  NetBuilder::NodeId a = b.AddSite("a", 10);
+  NetBuilder::NodeId c = b.AddSite("c", 100);
+  NetBuilder::NodeId r = b.AddRouter("r");
+  NetBuilder::LinkSpec slow;
+  slow.rate = Rate::Kbps(500);
+  NetBuilder::EdgeId fwd = b.AddLink(a, r, slow, "fwd");
+  b.AddWire(r, c);
+  b.AddWire(c, r);
+  b.AddWire(r, a);
+  NetBuilder::BundleSpec bundle;
+  bundle.src_site = a;
+  bundle.dst_site = c;
+  bundle.ingress_edge = fwd;
+  NetBuilder::BundleId id = b.AddBundle(bundle);
+  Simulator sim;
+  std::unique_ptr<Net> net = b.Build(&sim);
+  EXPECT_TRUE(net->bundle_admitted(id));
+  EXPECT_NE(net->bundle_controller(id), nullptr);
 }
 
 TEST(NetBuilderTest, ToDotNamesNodesEdgesAndAttachments) {

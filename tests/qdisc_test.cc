@@ -1,9 +1,13 @@
-// Unit tests for the queue disciplines and the token-bucket shaper.
+// Unit tests for the queue disciplines and token-bucket shaping (a one-bundle
+// SiteEgress, the sendbox's rate enforcement stage).
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "src/bundler/site_egress.h"
 #include "src/qdisc/codel.h"
 #include "src/qdisc/drr.h"
 #include "src/qdisc/fifo.h"
@@ -336,53 +340,62 @@ TEST(TokenBucketTest, RateChangeDoesNotRefillInstantly) {
   EXPECT_NEAR(tb.TimeUntilAvailable(1500, t).ToMicros(), 125.0, 1e-2);
 }
 
-TEST(ShaperTest, EnforcesRate) {
+// One tenant, one bundle: SiteEgress shaping a FIFO qdisc at the bundle's
+// rate, with a site aggregate far above it that never binds.
+std::unique_ptr<SiteEgress> OneBundleEgress(Simulator* sim, Rate rate,
+                                            InlineFunction<void(size_t, Packet)> out) {
+  SiteEgress::Config cfg;
+  cfg.aggregate_rate = Rate::Gbps(10);
+  std::vector<SiteEgress::BundleSpec> bundles(1);
+  bundles[0].initial_rate = rate;
+  bundles[0].qdisc_factory = [] { return std::make_unique<DropTailFifo>(1 << 24); };
+  return std::make_unique<SiteEgress>(
+      sim, cfg, std::vector<SiteEgress::TenantSpec>{{"t", 1, 1.0, Rate::Zero()}},
+      std::move(bundles), std::move(out), "shaper");
+}
+
+TEST(BundleShapingTest, EnforcesRate) {
   Simulator sim;
   int64_t out_bytes = 0;
-  Shaper shaper(&sim, std::make_unique<DropTailFifo>(1 << 24), Rate::Mbps(12),
-                2 * kMtuBytes, [&](Packet p) { out_bytes += p.size_bytes; });
+  auto egress = OneBundleEgress(&sim, Rate::Mbps(12),
+                                [&](size_t, Packet p) { out_bytes += p.size_bytes; });
   for (int i = 0; i < 1000; ++i) {
-    shaper.Enqueue(MakePkt(1));
+    egress->Enqueue(0, MakePkt(1));
   }
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(1));
   // 12 Mbit/s = 1.5 MB/s (plus the initial burst allowance).
   EXPECT_NEAR(static_cast<double>(out_bytes), 1.5e6, 0.05e6);
 }
 
-TEST(ShaperTest, RateIncreaseTakesEffectImmediately) {
+TEST(BundleShapingTest, RateIncreaseTakesEffectImmediately) {
   Simulator sim;
   int64_t out_pkts = 0;
-  Shaper shaper(&sim, std::make_unique<DropTailFifo>(1 << 24), Rate::Kbps(100),
-                2 * kMtuBytes, [&](Packet p) {
-                  (void)p;
-                  ++out_pkts;
-                });
+  auto egress =
+      OneBundleEgress(&sim, Rate::Kbps(100), [&](size_t, Packet) { ++out_pkts; });
   for (int i = 0; i < 200; ++i) {
-    shaper.Enqueue(MakePkt(1));
+    egress->Enqueue(0, MakePkt(1));
   }
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Millis(100));
   int64_t slow_pkts = out_pkts;
-  shaper.SetRate(Rate::Mbps(96));
+  egress->SetBundleRate(0, Rate::Mbps(96));
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Millis(150));
   // At 96 Mbit/s the remaining ~198 packets drain in < 25 ms.
   EXPECT_EQ(out_pkts, 200);
   EXPECT_LT(slow_pkts, 10);
 }
 
-TEST(ShaperTest, DrainsCompletely) {
+TEST(BundleShapingTest, DrainsCompletely) {
   Simulator sim;
   int64_t out_pkts = 0;
-  Shaper shaper(&sim, std::make_unique<DropTailFifo>(1 << 24), Rate::Mbps(96),
-                2 * kMtuBytes, [&](Packet p) {
-                  (void)p;
-                  ++out_pkts;
-                });
+  auto egress =
+      OneBundleEgress(&sim, Rate::Mbps(96), [&](size_t, Packet) { ++out_pkts; });
   for (int i = 0; i < 50; ++i) {
-    shaper.Enqueue(MakePkt(1));
+    egress->Enqueue(0, MakePkt(1));
   }
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(1));
   EXPECT_EQ(out_pkts, 50);
-  EXPECT_TRUE(shaper.queue()->Empty());
+  EXPECT_TRUE(egress->bundle_qdisc(0)->Empty());
+  EXPECT_EQ(egress->total_backlog_pkts(), 0);
 }
 
 }  // namespace

@@ -317,6 +317,25 @@ TEST(BuiltinScenarioTest, Fig09JsonByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(csv1, csv4);
 }
 
+// Every registered trial body must bracket its run with BeginTrialObs /
+// EndTrialObs: the end-of-trial dump is what puts simulator and counter
+// scalars (and captured traces) into the results.
+TEST(BuiltinScenarioTest, FeedbackBlackoutTrialCarriesObsScalars) {
+  RegisterBuiltinScenarios();
+  const Scenario* scenario = ScenarioRegistry::Global().Find("feedback_blackout");
+  ASSERT_NE(scenario, nullptr);
+  for (const TrialPoint& point : ExpandTrials(scenario->spec, /*trials=*/1)) {
+    if (point.variant != "bundler_watchdog") {
+      continue;
+    }
+    TrialResult r = scenario->run(point);
+    EXPECT_EQ(r.scalars.count("sim.events_dispatched"), 1u);
+    EXPECT_EQ(r.scalars.count("ctr.sendbox.s10-s100.rate_updates"), 1u);
+    return;
+  }
+  FAIL() << "feedback_blackout has no bundler_watchdog variant";
+}
+
 }  // namespace
 }  // namespace runner
 }  // namespace bundler

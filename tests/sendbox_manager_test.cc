@@ -27,9 +27,9 @@ struct Sink : PacketHandler {
   void HandlePacket(Packet pkt) override { pkts.push_back(std::move(pkt)); }
 };
 
-// A managed bundle's control config as NetBuilder would fill it in.
-BundleControlConfig ControlFor(SiteId local, SiteId remote) {
-  BundleControlConfig c;
+// A bundle's sendbox config as NetBuilder would fill it in.
+SendboxConfig ControlFor(SiteId local, SiteId remote) {
+  SendboxConfig c;
   c.local_site = local;
   c.remote_site = remote;
   c.ctl_addr = MakeAddress(local, kBundlerCtlHost);
@@ -308,7 +308,7 @@ TEST(SiteEgressTest, DrrSharesByWeightAcrossAndWithinTenants) {
 // --- Watchdog independence across tenants ---
 
 TEST(SendboxManagerTest, FeedbackBlackoutDegradesOnlyTheAffectedTenant) {
-  // Two tenants' bundles share one managed site; a feedback-only blackout on
+  // Two tenants' bundles share one site; a feedback-only blackout on
   // tenant b's reverse path must degrade b's watchdog while tenant a keeps
   // its live control loop (rate well below the wide-open degraded rate).
   Simulator sim;
