@@ -482,33 +482,28 @@ BenchResult BenchSameTimeBurst(const std::string& name) {
 }
 
 // FlowTable arena reclamation in steady state: a 256-flow working set where
-// each op releases the oldest object and emplaces a replacement — the
-// swap-remove, header fixup, and free-list push/pop cycle of a churny
-// scenario with reclaim enabled. Gated allocation-free: once the arena is
-// warm, create/release recycles blocks instead of growing it.
+// each op retires the oldest object and emplaces a replacement — the deferred
+// destroy, swap-remove, header fixup, and free-list push/pop cycle every
+// completed flow pays. Gated allocation-free: once the arena is warm,
+// create/retire recycles blocks instead of growing it.
 BenchResult BenchFlowReclaimChurn() {
   struct Flowish {
     uint64_t words[48] = {};  // sender-ish footprint, a few size classes up
   };
   FlowTable table;
-  table.EnableReclaim();
   std::vector<Flowish*> live(256);
   for (Flowish*& f : live) {
     f = table.Emplace<Flowish>();
   }
   size_t idx = 0;
-  BenchResult r = Measure("flow_reclaim_churn", 1 << 14, 1 << 20, [&](uint64_t i) {
-    table.Release(live[idx]);
+  return Measure("flow_reclaim_churn", 1 << 14, 1 << 20, [&](uint64_t i) {
+    table.Retire(live[idx]);
     Flowish* f = table.Emplace<Flowish>();
     f->words[0] = i;
     g_sink = g_sink + f->words[0];
     live[idx] = f;
     idx = (idx + 1) % live.size();
   });
-  for (Flowish* f : live) {
-    table.Release(f);
-  }
-  return r;
 }
 
 // The cross-shard boundary exchange: one SendBoundary (stamp metadata, bump
@@ -557,7 +552,6 @@ BenchResult BenchParallelDesFatTree(int workers) {
   }
   ShardChannelSet channels;
   std::unique_ptr<Net> net = b.Build(plan, sims, &channels);
-  net->flows()->EnableReclaim();
 
   // Staggered incast waves onto leaf 0 for the whole run, as in the
   // fat_tree_incast scenario.

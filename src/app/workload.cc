@@ -119,15 +119,12 @@ void RequestResponse::HandlePacket(Packet pkt) {
     retry_timer_ = kInvalidEventId;
   }
   StartTcpFlow(flows_, server_, client_, params_, std::move(on_complete_));
-  if (flows_->reclaim_enabled()) {
-    // The handshake glue is dead weight once the data flow exists: vacate the
-    // request flow id (retried requests land in the unclaimed counter) and
-    // self-release off this stack frame. The retry timer is already dead.
-    server_->Unregister(request_flow_id_);
-    FlowTable* table = flows_;
-    RequestResponse* self = this;
-    sim_->Schedule(TimeDelta::Zero(), [table, self]() { table->Release(self); });
-  }
+  // The handshake glue is dead weight once the data flow exists: vacate the
+  // request flow id (retried requests land in the host's unclaimed counter
+  // and, carrying no flow_total_pkts, get no reply) and retire. The retry
+  // timer is already dead.
+  server_->Unregister(request_flow_id_);
+  flows_->Retire(this);
 }
 
 std::vector<TcpSender*> StartBulkFlows(Simulator* sim, FlowTable* flows, Host* server,

@@ -14,6 +14,8 @@
 #include <cstring>
 #include <string>
 
+#include <sys/resource.h>
+
 #include "src/obs/trace.h"
 #include "src/runner/builtin_scenarios.h"
 #include "src/runner/result_sink.h"
@@ -275,6 +277,10 @@ int Main(int argc, char** argv) {
   summary.wall_seconds = wall_s;
   summary.events_dispatched = static_cast<uint64_t>(total_events);
   summary.events_per_sec = wall_s > 0 ? total_events / wall_s : 0;
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) == 0) {
+    summary.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+  }
 
   PrintSummary(summary);
 

@@ -186,7 +186,8 @@ std::string ToJson(const ScenarioSummary& summary) {
   if (summary.events_per_sec > 0) {
     out += "  \"runtime\": {\"wall_seconds\": " + JsonNumber(summary.wall_seconds) +
            ", \"events_dispatched\": " + std::to_string(summary.events_dispatched) +
-           ", \"events_per_sec\": " + JsonNumber(summary.events_per_sec) + "},\n";
+           ", \"events_per_sec\": " + JsonNumber(summary.events_per_sec) +
+           ", \"peak_rss_mb\": " + JsonNumber(summary.peak_rss_mb) + "},\n";
   }
   out += "  \"cells\": [";
   for (size_t c = 0; c < summary.cells.size(); ++c) {
@@ -263,7 +264,8 @@ std::string ToCsv(const ScenarioSummary& summary) {
   if (summary.events_per_sec > 0) {
     out += "# runtime wall_seconds=" + CsvNumber(summary.wall_seconds) +
            " events_dispatched=" + std::to_string(summary.events_dispatched) +
-           " events_per_sec=" + CsvNumber(summary.events_per_sec) + "\n";
+           " events_per_sec=" + CsvNumber(summary.events_per_sec) +
+           " peak_rss_mb=" + CsvNumber(summary.peak_rss_mb) + "\n";
   }
   return out;
 }

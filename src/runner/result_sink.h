@@ -66,6 +66,7 @@ struct ScenarioSummary {
   double wall_seconds = 0;
   uint64_t events_dispatched = 0;
   double events_per_sec = 0;
+  double peak_rss_mb = 0;  // process resident high-water mark (getrusage)
 };
 
 // Groups `results` (ordered like `plan`) into cells and reduces them.

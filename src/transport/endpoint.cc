@@ -13,13 +13,19 @@ Host::Host(Simulator* sim, Address addr, PacketHandler* egress)
 
 void Host::HandlePacket(Packet pkt) {
   PacketHandler* handler = flows_.Find(pkt.flow_id);
-  if (handler == nullptr) {
-    // Flow already torn down (e.g. duplicate data after completion) or not
-    // yet created; drop silently like a closed socket would.
-    ++unclaimed_;
+  if (handler != nullptr) {
+    handler->HandlePacket(std::move(pkt));
     return;
   }
-  handler->HandlePacket(std::move(pkt));
+  ++unclaimed_;
+  if (pkt.type == PacketType::kData && pkt.flow_total_pkts > 0) {
+    // Stateless TIME_WAIT: byte-for-byte the ACK TcpReceiver sends once its
+    // cumulative point reached the end of the flow.
+    Packet ack = MakeAckPacket(pkt, /*ack_src=*/pkt.key.dst, /*ack_dst=*/pkt.key.src);
+    ack.seq = pkt.flow_total_pkts;
+    ack.request_id = pkt.request_id;
+    SendOut(std::move(ack));
+  }
 }
 
 void Host::SendOut(Packet pkt) {

@@ -7,8 +7,9 @@
 // runs thousands of times per simulated second: the demux table is an
 // open-addressing FlatMap64 (no node allocation per flow) and FlowTable
 // carves transport objects out of a bump arena (one block allocation per
-// ~hundred flows) instead of one make_unique per object, so steady-state
-// flow churn costs ~zero heap allocations per event.
+// ~hundred flows) instead of one make_unique per object and recycles the
+// blocks of completed flows, so steady-state flow churn costs ~zero heap
+// allocations per event and memory tracks the in-flight working set.
 #ifndef SRC_TRANSPORT_ENDPOINT_H_
 #define SRC_TRANSPORT_ENDPOINT_H_
 
@@ -31,7 +32,12 @@ class Host : public PacketHandler {
  public:
   Host(Simulator* sim, Address addr, PacketHandler* egress);
 
-  // Incoming packets from the network: demux on flow id.
+  // Incoming packets from the network: demux on flow id. A data segment of a
+  // finite flow whose receiver is gone gets a stateless TIME_WAIT reply: the
+  // exact cumulative ACK (seq = flow_total_pkts) the completed receiver would
+  // have sent, so receivers are freed the moment they complete and a sender
+  // whose final ACKs were lost still converges. Anything else unclaimed is
+  // dropped like a closed socket would.
   void HandlePacket(Packet pkt) override;
 
   // Outgoing path: stamps the IPv4 ID (per-host counter, so retransmissions
@@ -58,22 +64,28 @@ class Host : public PacketHandler {
   uint64_t unclaimed_ = 0;
 };
 
-// Owns transport objects for the lifetime of a scenario and allocates ids.
-// Objects are constructed in bump-arena blocks and destroyed (in reverse
-// construction order) when the table goes away.
+// Owns the transport objects of every flow and allocates flow ids. Each
+// object is carved from a bump arena behind a 16-byte header, rounded up to a
+// 64-byte size class.
 //
-// Reclamation (opt-in, see EnableReclaim): a long churny run would otherwise
-// grow the arena without bound, one dead sender+receiver pair per completed
-// flow. With reclaim on, each object is carved with a 16-byte header and
-// rounded up to a 64-byte size class; Release() destroys the object and
-// threads its block onto a per-class free list, so steady-state churn recycles
-// blocks instead of growing the arena — zero heap allocations per
-// create/release cycle once the working set is warm. Every table structure is
-// GUARDED_BY(mu_) because in a sharded run flows complete concurrently in
-// different shards; object construction always runs outside the lock (flow
-// constructors send packets and schedule events, and must not hold the table
-// mutex while doing so). Reclaim must be enabled before the first Emplace so
-// every owned object has a header.
+// Reclamation is unconditional and event-free. An object whose work is done
+// (a completed sender or receiver, a request whose response flow started)
+// unregisters from its host and calls Retire(this) as the very last thing it
+// touches. The table destroys the retiree at the next Emplace or Retire and
+// threads its block onto a per-class free list, so a churny open-loop
+// workload recycles a working set of blocks instead of growing the arena by
+// one dead sender+receiver+request per completed flow, and no simulator event
+// is ever scheduled for a release. Destruction is deferred by one call
+// because the retiree's own handler is still on the stack when it retires;
+// Retire is that handler's tail call and none of its callers dereferences
+// the object again, so by the next table call nothing touches it. Objects
+// that never retire (backlogged flows, ping-pong apps) live until the table
+// goes away.
+//
+// Every table structure is GUARDED_BY(mu_) because in a sharded run flows
+// complete concurrently in different shards. Object construction runs outside
+// the lock: flow constructors send packets and schedule events, and must not
+// hold the table mutex while doing so.
 class FlowTable {
  public:
   FlowTable() = default;
@@ -96,72 +108,44 @@ class FlowTable {
     static_assert(sizeof(T) <= kBlockBytes, "flow object larger than an arena block");
     static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
                   "arena blocks are new[]-aligned");
-    if (!reclaim_) {
-      void* mem;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        mem = Allocate(sizeof(T), alignof(T));
-      }
-      T* obj = ::new (mem) T(std::forward<Args>(args)...);
-      std::lock_guard<std::mutex> lock(mu_);
-      owned_.push_back(Owned{obj, [](void* p) { static_cast<T*>(p)->~T(); }});
-      return obj;
-    }
-    void* mem = AllocateReclaimable(sizeof(T));
-    T* obj = ::new (mem) T(std::forward<Args>(args)...);
+    void* mem;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      Header(obj)->owned_idx = static_cast<uint32_t>(owned_.size());
-      owned_.push_back(Owned{obj, [](void* p) { static_cast<T*>(p)->~T(); }});
+      DestroyRetired();
+      mem = AllocateBlock(sizeof(T));
     }
+    T* obj = ::new (mem) T(std::forward<Args>(args)...);
+    std::lock_guard<std::mutex> lock(mu_);
+    Header(obj)->owned_idx = static_cast<uint32_t>(owned_.size());
+    owned_.push_back(Owned{obj, [](void* p) { static_cast<T*>(p)->~T(); }});
     return obj;
   }
 
-  size_t size() const {
+  // Hands an Emplace()d object back. It must be the caller's last touch of
+  // `obj`: no pending event or live pointer may reference it afterwards. The
+  // object is destroyed, and its block recycled, by the next Emplace or
+  // Retire.
+  void Retire(void* obj) {
     std::lock_guard<std::mutex> lock(mu_);
-    return owned_.size();
-  }
-
-  // --- Arena reclamation (opt-in) ---
-  // Must be called before the first Emplace (headers are laid down at
-  // allocation time). Scenarios that enable it are responsible for only
-  // Releasing objects that no live event still references.
-  void EnableReclaim() {
-    std::lock_guard<std::mutex> lock(mu_);
-    BUNDLER_CHECK_MSG(owned_.empty(),
-                      "EnableReclaim must run before the first Emplace");
-    reclaim_ = true;
-  }
-  bool reclaim_enabled() const { return reclaim_; }
-
-  // Destroys an Emplace()d object and recycles its arena block. Only valid
-  // when reclaim is enabled and `obj` came from this table.
-  void Release(void* obj) {
-    BUNDLER_CHECK(reclaim_);
-    std::lock_guard<std::mutex> lock(mu_);
-    ReclaimHeader* h = Header(obj);
-    BUNDLER_CHECK_MSG(h->magic == kReclaimMagic,
-                      "Release of a pointer this table does not own");
-    const size_t idx = h->owned_idx;
-    BUNDLER_CHECK(idx < owned_.size() && owned_[idx].obj == obj);
-    owned_[idx].destroy(obj);
-    owned_[idx] = owned_.back();
-    owned_.pop_back();
-    if (idx < owned_.size()) {
-      Header(owned_[idx].obj)->owned_idx = static_cast<uint32_t>(idx);
-    }
-    const size_t cls = h->size_class;
-    h->magic = 0;
-    // The dead block's first word becomes the free-list link.
-    *reinterpret_cast<void**>(h) = free_lists_[cls];
-    free_lists_[cls] = h;
+    BUNDLER_CHECK_MSG(Header(obj)->magic == kLiveMagic,
+                      "Retire of a pointer this table does not own");
+    BUNDLER_CHECK(obj != retired_);
+    DestroyRetired();
+    retired_ = obj;
     ++releases_;
   }
 
+  // Objects constructed and not yet retired.
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return owned_.size() - (retired_ != nullptr ? 1 : 0);
+  }
+  // Retire() calls so far.
   uint64_t releases() const {
     std::lock_guard<std::mutex> lock(mu_);
     return releases_;
   }
+  // Emplaces served from a free list rather than fresh arena space.
   uint64_t reuses() const {
     std::lock_guard<std::mutex> lock(mu_);
     return reuses_;
@@ -177,26 +161,51 @@ class FlowTable {
     void (*destroy)(void*);
   };
 
-  // Sits immediately before each reclaimable object. 16 bytes keeps the
-  // payload at new[] alignment; the magic doubles as a use-after-release trap
-  // and leaves the first word free for the free-list link once dead.
-  struct ReclaimHeader {
+  // Sits immediately before each object. 16 bytes keeps the payload at new[]
+  // alignment; the magic doubles as a use-after-destroy trap and leaves the
+  // first word free for the free-list link once dead.
+  struct ObjectHeader {
     uint32_t owned_idx;
     uint32_t size_class;
     uint64_t magic;
   };
-  static_assert(sizeof(ReclaimHeader) == 16);
-  static constexpr uint64_t kReclaimMagic = 0x666c6f7774626c6bULL;  // "flowtblk"
+  static_assert(sizeof(ObjectHeader) == 16);
+  static constexpr uint64_t kLiveMagic = 0x666c6f7774626c6bULL;  // "flowtblk"
   static constexpr size_t kGranule = 64;
 
-  static ReclaimHeader* Header(void* obj) {
-    return reinterpret_cast<ReclaimHeader*>(static_cast<unsigned char*>(obj) -
-                                            sizeof(ReclaimHeader));
+  static ObjectHeader* Header(void* obj) {
+    return reinterpret_cast<ObjectHeader*>(static_cast<unsigned char*>(obj) -
+                                           sizeof(ObjectHeader));
   }
 
-  void* AllocateReclaimable(size_t bytes) {
+  // Destroys the pending retiree (if any), swap-removes it from owned_, and
+  // pushes its block onto its size class's free list.
+  void DestroyRetired() REQUIRES(mu_) {
+    if (retired_ == nullptr) {
+      return;
+    }
+    void* obj = retired_;
+    retired_ = nullptr;
+    ObjectHeader* h = Header(obj);
+    const size_t idx = h->owned_idx;
+    BUNDLER_CHECK(idx < owned_.size() && owned_[idx].obj == obj);
+    owned_[idx].destroy(obj);
+    owned_[idx] = owned_.back();
+    owned_.pop_back();
+    if (idx < owned_.size()) {
+      Header(owned_[idx].obj)->owned_idx = static_cast<uint32_t>(idx);
+    }
+    const size_t cls = h->size_class;
+    h->magic = 0;
+    // The dead block's first word becomes the free-list link.
+    *reinterpret_cast<void**>(h) = free_lists_[cls];
+    free_lists_[cls] = h;
+  }
+
+  // Returns the payload address of a header-prefixed block of `bytes`'s size
+  // class, recycled from the free list when one is available.
+  void* AllocateBlock(size_t bytes) REQUIRES(mu_) {
     const size_t cls = (bytes + kGranule - 1) / kGranule;
-    std::lock_guard<std::mutex> lock(mu_);
     if (free_lists_.size() <= cls) {
       free_lists_.resize(cls + 1, nullptr);
     }
@@ -207,16 +216,16 @@ class FlowTable {
     } else {
       // Block aligned to new[] alignment so the payload (16 bytes in) still
       // satisfies the Emplace static_assert's alignment bound.
-      block = Allocate(sizeof(ReclaimHeader) + cls * kGranule,
-                       __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+      block = AllocateArena(sizeof(ObjectHeader) + cls * kGranule,
+                            __STDCPP_DEFAULT_NEW_ALIGNMENT__);
     }
-    auto* h = static_cast<ReclaimHeader*>(block);
+    auto* h = static_cast<ObjectHeader*>(block);
     h->size_class = static_cast<uint32_t>(cls);
-    h->magic = kReclaimMagic;
-    return static_cast<unsigned char*>(block) + sizeof(ReclaimHeader);
+    h->magic = kLiveMagic;
+    return static_cast<unsigned char*>(block) + sizeof(ObjectHeader);
   }
 
-  void* Allocate(size_t bytes, size_t align) REQUIRES(mu_) {
+  void* AllocateArena(size_t bytes, size_t align) REQUIRES(mu_) {
     size_t at = (arena_used_ + align - 1) & ~(align - 1);
     if (blocks_.empty() || at + bytes > kBlockBytes) {
       // Amortized arena growth; steady state recycles via free lists.
@@ -231,10 +240,6 @@ class FlowTable {
   // object bigger than a block would be a bug worth hearing about loudly.
   static constexpr size_t kBlockBytes = 256 * 1024;
 
-  // Write-once during single-threaded setup (EnableReclaim precedes the first
-  // Emplace by contract), read-only once flows churn — safe unguarded.
-  bool reclaim_ = false;
-
   mutable std::mutex mu_;
   uint64_t next_flow_id_ GUARDED_BY(mu_) = 1;
   std::vector<std::unique_ptr<unsigned char[]>> blocks_ GUARDED_BY(mu_);
@@ -242,6 +247,9 @@ class FlowTable {
   std::vector<Owned> owned_ GUARDED_BY(mu_);
   // Indexed by size class, intrusive links through the dead blocks.
   std::vector<void*> free_lists_ GUARDED_BY(mu_);
+  // Retired but not yet destroyed: at most one, since every Retire and
+  // Emplace destroys the previous retiree first.
+  void* retired_ GUARDED_BY(mu_) = nullptr;
   uint64_t releases_ GUARDED_BY(mu_) = 0;
   uint64_t reuses_ GUARDED_BY(mu_) = 0;
 };

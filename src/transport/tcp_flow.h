@@ -28,38 +28,39 @@ struct TcpFlowParams {
 };
 
 // Receiver half: cumulative ACKing (one ACK per data packet, Linux quickack
-// style), out-of-order buffering, completion detection.
+// style), out-of-order buffering, completion detection. The moment the last
+// byte arrives the receiver unregisters and retires into its FlowTable; the
+// host's stateless TIME_WAIT (Host::HandlePacket) answers any later
+// retransmission with the identical final ACK.
 class TcpReceiver : public PacketHandler {
  public:
   // `on_complete(now)` fires once, when the last byte arrives.
-  TcpReceiver(Host* host, uint64_t flow_id, InlineFunction<void(TimePoint)> on_complete);
+  TcpReceiver(FlowTable* table, Host* host, uint64_t flow_id,
+              InlineFunction<void(TimePoint)> on_complete);
 
   void HandlePacket(Packet pkt) override;
 
   int64_t cum_expected() const { return cum_expected_; }
   int64_t bytes_received() const { return bytes_received_; }
-  bool complete() const { return complete_; }
-
-  // Arms self-release into `table` (which must have reclaim enabled): after
-  // completion the receiver lingers for a TIME_WAIT-style grace period — still
-  // ACKing retransmits of the tail — then unregisters and releases itself.
-  void set_reclaim(FlowTable* table) { reclaim_ = table; }
 
  private:
+  FlowTable* table_;
   Host* host_;
   uint64_t flow_id_;
-  FlowTable* reclaim_ = nullptr;
   InlineFunction<void(TimePoint)> on_complete_;
   int64_t cum_expected_ = 0;
   SeqIntervalSet out_of_order_;  // contiguous runs above the cumulative point
   int64_t bytes_received_ = 0;
-  bool complete_ = false;
 };
 
-// Sender half.
+// Sender half. A finite flow's sender unregisters and retires into its
+// FlowTable once every byte is cumulatively ACKed, so a TcpSender* of a finite
+// flow must not be dereferenced after completion; read the simulator's
+// aggregate tcp.* counters instead.
 class TcpSender : public PacketHandler {
  public:
-  TcpSender(Host* host, uint64_t flow_id, FlowKey key, const TcpFlowParams& params);
+  TcpSender(FlowTable* table, Host* host, uint64_t flow_id, FlowKey key,
+            const TcpFlowParams& params);
   ~TcpSender() override;
 
   // Begin transmitting (schedules the first send immediately).
@@ -76,12 +77,6 @@ class TcpSender : public PacketHandler {
   uint64_t retransmits() const { return retransmits_; }
   uint64_t timeouts() const { return timeouts_; }
   TimeDelta srtt() const { return srtt_; }
-
-  // Arms self-release into `table`: on completion (every byte cumulatively
-  // ACKed, all timers cancelled) the sender unregisters and schedules a
-  // zero-delay event that releases it, so destruction never runs under a
-  // live stack frame of its own handler.
-  void set_reclaim(FlowTable* table) { reclaim_ = table; }
 
  private:
   static constexpr auto kMinRto = TimeDelta::Millis(200);
@@ -119,9 +114,9 @@ class TcpSender : public PacketHandler {
   void UpdateRtt(TimeDelta sample);
   TimeDelta CurrentRto() const;
 
+  FlowTable* table_;
   Host* host_;
   uint64_t flow_id_;
-  FlowTable* reclaim_ = nullptr;
   FlowKey key_;
   TcpFlowParams params_;
   HostCc* cc_;

@@ -252,6 +252,32 @@ TEST(ResultSinkTest, JsonHandlesNonFiniteAndEmpty) {
   EXPECT_NE(ToJson(empty).find("\"cells\": []"), std::string::npos);
 }
 
+TEST(ResultSinkTest, PeakRssOnlyInRuntimeMetadata) {
+  ScenarioSummary summary;
+  summary.scenario = "rss";
+  // No runtime metadata: the outputs stay a pure function of the results.
+  EXPECT_EQ(ToJson(summary).find("peak_rss_mb"), std::string::npos);
+  EXPECT_EQ(ToCsv(summary).find("peak_rss_mb"), std::string::npos);
+
+  summary.wall_seconds = 2;
+  summary.events_dispatched = 1000;
+  summary.events_per_sec = 500;
+  summary.peak_rss_mb = 37.5;
+  // It rides only on the one runtime line that cross-run comparisons strip.
+  const std::string json = ToJson(summary);
+  const std::string csv = ToCsv(summary);
+  EXPECT_NE(json.find("\n  \"runtime\": {\"wall_seconds\": 2, \"events_dispatched\": 1000, "
+                      "\"events_per_sec\": 500, \"peak_rss_mb\": 37.5},\n"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(csv.find("\n# runtime wall_seconds=2 events_dispatched=1000 events_per_sec=500 "
+                     "peak_rss_mb=37.5\n"),
+            std::string::npos)
+      << csv;
+  EXPECT_EQ(json.find("peak_rss_mb"), json.rfind("peak_rss_mb"));
+  EXPECT_EQ(csv.find("peak_rss_mb"), csv.rfind("peak_rss_mb"));
+}
+
 TEST(RegistryTest, BuiltinScenariosRegisteredAndListed) {
   RegisterBuiltinScenarios();
   RegisterBuiltinScenarios();  // idempotent
