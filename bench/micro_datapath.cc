@@ -37,10 +37,6 @@
 #include "src/qdisc/prio.h"
 #include "src/qdisc/sfq.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/shard_channel.h"
-#include "src/sim/shard_runner.h"
-#include "src/topo/fat_tree.h"
-#include "src/topo/partition.h"
 #include "src/topo/scenario.h"
 #include "src/transport/tcp_flow.h"
 #include "src/util/fnv.h"
@@ -506,96 +502,6 @@ BenchResult BenchFlowReclaimChurn() {
   });
 }
 
-// The cross-shard boundary exchange: one SendBoundary (stamp metadata, bump
-// counters, ring push) plus the consumer's TryPop, per op. Everything is
-// preallocated flat storage, so this is gated allocation-free like the other
-// datapath churn rows.
-BenchResult BenchBoundaryRingChurn() {
-  struct Sink : PacketHandler {
-    void HandlePacket(Packet pkt) override { (void)pkt; }
-  };
-  Simulator sim;
-  Sink sink;
-  ShardChannel::Spec spec;
-  spec.id = 1;
-  spec.dst_shard = 1;
-  spec.lookahead_ns = TimeDelta::Millis(1).nanos();
-  spec.dst = &sink;
-  spec.src_sim = &sim;
-  spec.capacity = 256;
-  ShardChannel ch(spec);
-  BoundaryMsg m;
-  return Measure("boundary_ring_churn", 1 << 14, 1 << 20, [&](uint64_t i) {
-    ch.SendBoundary(TimePoint::FromNanos(static_cast<int64_t>(i)),
-                    TimeDelta::Millis(1), TypicalPacket(i));
-    (void)ch.TryPop(&m);
-    g_sink = g_sink + m.pkt.size_bytes;
-  });
-}
-
-// Conservative parallel DES end to end: the fat_tree_incast workload (4
-// leaves x 2 hosts over 2 spines -> 6 shards) run by ShardRunner with a given
-// worker count, in simulator events per wall second. scripts/bench.sh
-// compares the 4-worker row against the 1-worker row; on multi-core machines
-// the partitioned run must scale (the win this PR exists for), on fewer
-// cores it only has to avoid collapsing under the sync overhead.
-BenchResult BenchParallelDesFatTree(int workers) {
-  FatTreeConfig cfg;
-  FatTreeGraph g;
-  NetBuilder b = FatTreeBuilder(cfg, &g);
-  const PartitionPlan plan = PartitionTopology(b);
-  std::vector<std::unique_ptr<Simulator>> sim_store;
-  std::vector<Simulator*> sims;
-  for (int i = 0; i < plan.num_groups; ++i) {
-    sim_store.push_back(std::make_unique<Simulator>());
-    sims.push_back(sim_store.back().get());
-  }
-  ShardChannelSet channels;
-  std::unique_ptr<Net> net = b.Build(plan, sims, &channels);
-
-  // Staggered incast waves onto leaf 0 for the whole run, as in the
-  // fat_tree_incast scenario.
-  constexpr int kWaves = 40;
-  int rr = 0;
-  for (int w = 0; w < kWaves; ++w) {
-    const TimePoint base =
-        TimePoint::Zero() + TimeDelta::Millis(50) * w + TimeDelta::Millis(5);
-    for (int l = 1; l < cfg.num_leaves; ++l) {
-      for (int h = 0; h < cfg.hosts_per_leaf; ++h) {
-        Host* src = net->host(
-            g.hosts[static_cast<size_t>(l)][static_cast<size_t>(h)]);
-        Host* dst = net->host(
-            g.hosts[0][static_cast<size_t>(rr % cfg.hosts_per_leaf)]);
-        const TimePoint start = base + TimeDelta::Micros((211 * rr) % 2000);
-        ++rr;
-        TcpFlowParams params;
-        params.size_bytes = 256 * 1024;
-        params.request_start = start;
-        TcpSender* sender = CreateTcpFlow(net->flows(), src, dst, params, nullptr);
-        src->sim()->ScheduleAt(start, [sender]() { sender->Start(); });
-      }
-    }
-  }
-
-  ShardRunner::Options opt;
-  opt.workers = workers;
-  ShardRunner sr(sims, &channels, opt);
-  Clock::time_point start = Clock::now();
-  sr.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(3));
-  Clock::time_point end = Clock::now();
-  double sec = std::chrono::duration<double>(end - start).count();
-  uint64_t events = 0;
-  for (Simulator* s : sims) {
-    events += s->events_dispatched();
-  }
-  BenchResult r;
-  r.name = "parallel_des_fat_tree_w" + std::to_string(workers);
-  r.ns_per_op = sec / static_cast<double>(events) * 1e9;
-  r.ops_per_sec = static_cast<double>(events) / sec;
-  r.allocs_per_op = 0;  // not meaningful per event; the ring/reclaim rows gate allocs
-  return r;
-}
-
 // Faulted datapath churn: every packet pays the targeting check, the
 // blackout cursor, and a Gilbert-Elliott loss + transition draw; ~10% of
 // survivors additionally pass through the bounded reorder hold slot (depth
@@ -742,7 +648,7 @@ BenchResult BenchEndToEndExperimentTraced(double* records_per_event_out) {
 
 void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
                double speedup, double records_per_event, double disabled_overhead,
-               double burst_speedup, double pdes_speedup, double fault_overhead) {
+               double burst_speedup, double fault_overhead) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -750,7 +656,6 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
   }
   std::fprintf(f, "{\n  \"schedule_dispatch_speedup_vs_legacy\": %.3f,\n", speedup);
   std::fprintf(f, "  \"same_time_burst_speedup\": %.3f,\n", burst_speedup);
-  std::fprintf(f, "  \"parallel_des_speedup_w4_over_w1\": %.3f,\n", pdes_speedup);
   std::fprintf(f, "  \"trace_records_per_event\": %.4f,\n", records_per_event);
   std::fprintf(f, "  \"tracing_disabled_overhead_frac\": %.6f,\n", disabled_overhead);
   std::fprintf(f, "  \"fault_disabled_overhead_frac\": %.6f,\n", fault_overhead);
@@ -807,11 +712,6 @@ int Run(const std::string& json_path) {
   results.push_back(BenchTcpRecoveryChurn());
   results.push_back(BenchLinkEventRearmChurn());
   results.push_back(BenchFlowReclaimChurn());
-  results.push_back(BenchBoundaryRingChurn());
-  BenchResult pdes_w1 = BenchParallelDesFatTree(1);
-  BenchResult pdes_w4 = BenchParallelDesFatTree(4);
-  results.push_back(pdes_w1);
-  results.push_back(pdes_w4);
   results.push_back(BenchFaultInjectorChurn());
   double fault_added_ns = 0;
   BenchResult fault_cold = BenchFaultUntargetedHook(&fault_added_ns);
@@ -851,10 +751,6 @@ int Run(const std::string& json_path) {
   std::printf("same-time burst: batched %.1f ns/burst vs serial %.1f ns/burst "
               "(%.2fx)\n",
               burst_batched.ns_per_op, burst_serial.ns_per_op, burst_speedup);
-  double pdes_speedup = pdes_w4.ops_per_sec / pdes_w1.ops_per_sec;
-  std::printf("parallel DES fat tree: %.0f events/sec at 4 workers vs %.0f at "
-              "1 (%.2fx)\n",
-              pdes_w4.ops_per_sec, pdes_w1.ops_per_sec, pdes_speedup);
   std::printf("tracing: %.2f records/event when fully armed; disabled-hook "
               "overhead bound %.4f%% of end-to-end run\n",
               records_per_event, disabled_overhead * 100);
@@ -864,7 +760,7 @@ int Run(const std::string& json_path) {
 
   if (!json_path.empty()) {
     WriteJson(json_path, results, speedup, records_per_event, disabled_overhead,
-              burst_speedup, pdes_speedup, fault_overhead);
+              burst_speedup, fault_overhead);
   }
   // The engine must not allocate per scheduled event in steady state.
   if (engine.allocs_per_op != 0.0) {

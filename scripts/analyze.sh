@@ -10,7 +10,7 @@
 #   thread-safety         Clang configure in build-clang: the GUARDED_BY /
 #                         REQUIRES / capability annotations become errors
 #   asan  (build-asan)    ASan+UBSan, full ctest
-#   tsan  (build-tsan)    TSan, every concurrent suite
+#   tsan  (build-tsan)    TSan, the suites that spawn threads (runner, obs)
 #   msan  (build-msan)    Clang-only, best-effort: without an MSan-
 #                         instrumented libc++ false positives are possible,
 #                         so failures WARN rather than fail the script
@@ -66,13 +66,11 @@ cmake -B build-asan -S . -DBUNDLER_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j"${JOBS}"
 (cd build-asan && ctest --output-on-failure -j"${JOBS}")
 
-echo "== TSan (build-tsan): concurrent suites =="
+echo "== TSan (build-tsan): suites that spawn threads =="
 cmake -B build-tsan -S . -DBUNDLER_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-cmake --build build-tsan -j"${JOBS}" --target \
-  shard_channel_test shard_runner_test partition_test runner_test \
-  obs_test flow_reclaim_test
+cmake --build build-tsan -j"${JOBS}" --target runner_test obs_test
 (cd build-tsan && ctest --output-on-failure --no-tests=error -R \
-  'shard_channel_test|shard_runner_test|partition_test|runner_test|obs_test|flow_reclaim_test')
+  'runner_test|obs_test')
 
 if command -v clang++ >/dev/null 2>&1; then
   echo "== MSan (build-msan, clang, best-effort) =="

@@ -2,7 +2,7 @@
 """Repo-specific determinism and zero-alloc lints for the bundler simulator.
 
 The simulator's core guarantees — bit-identical runs at a fixed seed
-(including across --shards values) and an allocation-free steady-state
+(including across --threads values) and an allocation-free steady-state
 datapath — are properties a compiler does not check. This linter enforces
 the source-level discipline behind them:
 

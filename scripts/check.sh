@@ -2,7 +2,7 @@
 # CI entrypoint, tiered:
 #   0. lint       — scripts/lint.sh (determinism/zero-alloc rules + self-test)
 #   1. build+test — plain build, full ctest
-#   2. sanitizers — ASan+UBSan full suite, TSan over every concurrent suite
+#   2. sanitizers — ASan+UBSan full suite, TSan over the suites that spawn threads
 #   3. analyzers  — scripts/analyze.sh --tidy-only when clang-tidy exists
 #   4. smoke      — scenario runs with byte-identity determinism checks
 #   5. repro      — scripts/repro.sh asserts the paper's headline claims
@@ -32,16 +32,11 @@ if [[ "${CHECK_SKIP_SANITIZERS:-0}" != "1" ]]; then
   (cd build-asan && ctest --output-on-failure --no-tests=error -R \
     'sack_scoreboard_test|tcp_recovery_test|transport_test')
 
-  echo "--- TSan pass: every suite that spawns threads or crosses shards"
-  # shard_channel/shard_runner: SPSC rings and the CMB null-message protocol;
-  # partition/runner/integration-adjacent suites: TrialRunner worker pool and
-  # sharded trials; obs: trace capture under the worker pool; flow_reclaim:
-  # FlowTable, whose arena is mutex-guarded.
-  TSAN_SUITES='shard_channel_test|shard_runner_test|partition_test|runner_test|obs_test|flow_reclaim_test'
+  echo "--- TSan pass: every suite that spawns threads"
+  # runner: the TrialRunner worker pool; obs: trace capture under the pool.
+  TSAN_SUITES='runner_test|obs_test'
   cmake -B build-tsan -S . -DBUNDLER_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-tsan -j"${JOBS}" --target \
-    shard_channel_test shard_runner_test partition_test runner_test \
-    obs_test flow_reclaim_test
+  cmake --build build-tsan -j"${JOBS}" --target runner_test obs_test
   (cd build-tsan && ctest --output-on-failure --no-tests=error -R "${TSAN_SUITES}")
 fi
 
@@ -80,22 +75,15 @@ echo "--- determinism: same seeds on 4 threads must match byte-for-byte"
 cmp <(stable build/smoke_t2/fig09_fct.json) <(stable build/smoke_t4/fig09_fct.json)
 cmp <(stable build/smoke_t2/fig09_fct.csv) <(stable build/smoke_t4/fig09_fct.csv)
 
-echo "--- parallel DES: --shards 1 vs --shards 4 must be byte-identical"
-# fig09's dumbbell is one indivisible shard (--shards just validates that);
-# fat_tree_incast genuinely partitions into 6 shards run by 4 workers.
-./build/bundler_run --scenario fig09_fct --trials 1 --shards 1 \
-  --out build/smoke_s1 --quiet
-./build/bundler_run --scenario fig09_fct --trials 1 --shards 4 \
-  --out build/smoke_s4 --quiet > /dev/null
-cmp <(stable build/smoke_s1/fig09_fct.json) <(stable build/smoke_s4/fig09_fct.json)
-./build/bundler_run --scenario fat_tree_incast --trials 2 --shards 1 \
-  --out build/smoke_ft_s1 --quiet
-./build/bundler_run --scenario fat_tree_incast --trials 2 --shards 4 \
-  --out build/smoke_ft_s4 --quiet > /dev/null
-cmp <(stable build/smoke_ft_s1/fat_tree_incast.json) \
-    <(stable build/smoke_ft_s4/fat_tree_incast.json)
-cmp <(stable build/smoke_ft_s1/fat_tree_incast.csv) \
-    <(stable build/smoke_ft_s4/fat_tree_incast.csv)
+echo "--- determinism: fat_tree_incast at --threads 1 vs 4 must be byte-identical"
+./build/bundler_run --scenario fat_tree_incast --trials 2 --threads 1 \
+  --out build/smoke_ft_t1 --quiet
+./build/bundler_run --scenario fat_tree_incast --trials 2 --threads 4 \
+  --out build/smoke_ft_t4 --quiet > /dev/null
+cmp <(stable build/smoke_ft_t1/fat_tree_incast.json) \
+    <(stable build/smoke_ft_t4/fat_tree_incast.json)
+cmp <(stable build/smoke_ft_t1/fat_tree_incast.csv) \
+    <(stable build/smoke_ft_t4/fat_tree_incast.csv)
 
 echo "--- golden byte-identity: the sendbox must reproduce the pinned figures"
 # tests/golden/ holds fig09/fig10/fig13 outputs of the one sendbox data
@@ -115,7 +103,7 @@ done
 echo "--- smoke scenario: cdn_edge_flash_crowd (multi-tenant admission + isolation)"
 # 200+ tenant bundles through one SendboxManager: admission must reject the
 # over-budget tail with explicit counters, and the run must stay
-# byte-identical across worker threads and conservative shards.
+# byte-identical across worker threads.
 ./build/bundler_run --scenario cdn_edge_flash_crowd --trials 1 \
   --out build/smoke_cdn --quiet
 ./build/bundler_run --scenario cdn_edge_flash_crowd --trials 1 --threads 4 \
@@ -124,10 +112,6 @@ cmp <(stable build/smoke_cdn/cdn_edge_flash_crowd.json) \
     <(stable build/smoke_cdn_t4/cdn_edge_flash_crowd.json)
 cmp <(stable build/smoke_cdn/cdn_edge_flash_crowd.csv) \
     <(stable build/smoke_cdn_t4/cdn_edge_flash_crowd.csv)
-./build/bundler_run --scenario cdn_edge_flash_crowd --trials 1 --shards 4 \
-  --out build/smoke_cdn_s4 --quiet > /dev/null
-cmp <(stable build/smoke_cdn/cdn_edge_flash_crowd.json) \
-    <(stable build/smoke_cdn_s4/cdn_edge_flash_crowd.json)
 python3 - build/smoke_cdn/cdn_edge_flash_crowd.json <<'EOF'
 import json, sys
 cells = json.load(open(sys.argv[1]))["cells"]
@@ -141,7 +125,7 @@ print(f"  admission: {s['admitted']:.0f} admitted, "
 EOF
 
 echo "--- smoke scenario: feedback_blackout (faulted control loop + watchdog)"
-# A faulted run must stay byte-identical across thread and shard counts: the
+# A faulted run must stay byte-identical across thread counts: the
 # injector draws RNG only for targeted packets in arrival order, which the
 # determinism contract fixes.
 ./build/bundler_run --scenario feedback_blackout --trials 1 --threads 2 \
@@ -150,10 +134,6 @@ echo "--- smoke scenario: feedback_blackout (faulted control loop + watchdog)"
   --out build/smoke_fault_t4 --quiet > /dev/null
 cmp <(stable build/smoke_fault_t2/feedback_blackout.json) \
     <(stable build/smoke_fault_t4/feedback_blackout.json)
-./build/bundler_run --scenario feedback_blackout --trials 1 --shards 4 \
-  --out build/smoke_fault_s4 --quiet > /dev/null
-cmp <(stable build/smoke_fault_t2/feedback_blackout.json) \
-    <(stable build/smoke_fault_s4/feedback_blackout.json)
 
 echo "--- traced scenario: fig02_queue_shift with the flight recorder armed"
 ./build/bundler_run --scenario fig02_queue_shift --trace all --threads 2 \

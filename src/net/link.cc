@@ -68,10 +68,6 @@ void Link::set_rate(Rate rate) {
 void Link::set_prop_delay(TimeDelta delay) {
   BUNDLER_CHECK_MSG(delay >= TimeDelta::Zero(), "link '%s': negative prop delay",
                     name_.c_str());
-  BUNDLER_CHECK_MSG(boundary_ == nullptr,
-                    "link '%s': prop delay is frozen on a shard-boundary link "
-                    "(it is the peer shard's conservative lookahead)",
-                    name_.c_str());
   if (tracer_enabled(obs::TraceCat::kLink)) {
     sim_->trace().Trace(obs::TraceCat::kLink, obs::TraceEv::kLinkDelay, comp_,
                         sim_->now(), static_cast<uint64_t>(delay.nanos()),
@@ -133,14 +129,6 @@ void Link::OnTransmitDone(Packet pkt) {
   ++stats_.packets_sent;
   stats_.bytes_sent += pkt.size_bytes;
   busy_ = false;
-  if (boundary_ != nullptr) {
-    // Cross-shard: the peer shard replays the propagation delay when it
-    // delivers the packet, so this replaces (not duplicates) the local
-    // propagation event.
-    boundary_->SendBoundary(sim_->now(), prop_delay_, std::move(pkt));
-    MaybeStartTransmission();
-    return;
-  }
   PacketHandler* dst = dst_;
   sim_->Schedule(prop_delay_, [dst, p = std::move(pkt)]() mutable {
     dst->HandlePacket(std::move(p));

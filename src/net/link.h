@@ -42,17 +42,6 @@ struct LinkStats {
   uint64_t drops = 0;
 };
 
-// Shard-boundary egress: when a link's destination lives in a different
-// shard, finished packets are handed to a BoundarySink (an SPSC ring to the
-// peer shard; see src/sim/shard_channel.h) instead of being scheduled as a
-// local propagation event. The propagation delay travels with the packet and
-// doubles as the conservative-lookahead bound of the receiving shard.
-class BoundarySink {
- public:
-  virtual ~BoundarySink() = default;
-  virtual void SendBoundary(TimePoint sent, TimeDelta prop_delay, Packet pkt) = 0;
-};
-
 class Link : public PacketHandler {
  public:
   Link(Simulator* sim, std::string name, Rate rate, TimeDelta prop_delay,
@@ -80,12 +69,6 @@ class Link : public PacketHandler {
 
   void AddObserver(LinkObserver* obs) { observers_.push_back(obs); }
   void set_dst(PacketHandler* dst) { dst_ = dst; }
-  // Marks this link as a shard boundary: packets finishing serialization go
-  // to `sink` instead of a locally scheduled delivery. The propagation delay
-  // becomes the peer shard's lookahead and is frozen (set_prop_delay and
-  // link schedules on boundary links CHECK-fail).
-  void set_boundary(BoundarySink* sink) { boundary_ = sink; }
-  bool is_boundary() const { return boundary_ != nullptr; }
 
  private:
   void MaybeStartTransmission();
@@ -98,7 +81,6 @@ class Link : public PacketHandler {
   TimeDelta prop_delay_;
   std::unique_ptr<Qdisc> queue_;
   PacketHandler* dst_;
-  BoundarySink* boundary_ = nullptr;
   // Observability: trace component id plus registry-owned counters for the
   // control-plane transitions LinkStats does not cover.
   uint32_t comp_ = 0;

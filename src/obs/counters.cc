@@ -18,20 +18,4 @@ void CounterRegistry::DumpTo(std::map<std::string, double>* out,
   }
 }
 
-void CounterRegistry::AccumulateTo(std::map<std::string, double>* out,
-                                   const std::string& prefix) const {
-  for (const auto& [name, value] : owned_) {
-    (*out)[prefix + name] += static_cast<double>(value);
-  }
-  for (const auto& [name, value] : gauges_) {
-    (*out)[prefix + name] = value;
-  }
-  for (const auto& [name, src] : exposed_) {
-    (*out)[prefix + name] += static_cast<double>(*src);
-  }
-  for (const auto& [name, src] : exposed_gauges_) {
-    (*out)[prefix + name] = *src;
-  }
-}
-
 }  // namespace bundler::obs

@@ -17,10 +17,8 @@
 // `<subsystem>.<metric>` for aggregates (e.g. tcp.retransmits).
 //
 // Threading contract: thread-compatible like the Tracer — one registry per
-// Simulator, one driving thread at a time (the trial's worker, or the shard's
-// owner worker under the ShardRunner's static assignment). Counter bumps are
-// therefore plain increments; cross-shard aggregation happens after the run
-// via AccumulateTo, never by sharing a registry.
+// Simulator, driven by the one worker thread that runs the trial. Counter
+// bumps are therefore plain increments, never shared across trials.
 #ifndef SRC_OBS_COUNTERS_H_
 #define SRC_OBS_COUNTERS_H_
 
@@ -54,12 +52,6 @@ class CounterRegistry {
   // Writes every counter and gauge into `out` as `<prefix><name>`. Maps
   // iterate in key order, so the dump is deterministic.
   void DumpTo(std::map<std::string, double>* out, const std::string& prefix) const;
-
-  // Merge variant for sharded runs (one registry per shard): counters add
-  // into any existing entry, gauges overwrite (last shard in call order
-  // wins). Deterministic for the same reason DumpTo is.
-  void AccumulateTo(std::map<std::string, double>* out,
-                    const std::string& prefix) const;
 
   size_t size() const {
     return owned_.size() + gauges_.size() + exposed_.size() + exposed_gauges_.size();

@@ -13,7 +13,7 @@ namespace {
 
 constexpr const char* kCatNames[] = {
     "sim",  "link", "linksched", "qdisc", "tcp",
-    "sendbox", "mode", "nimbus", "pi", "cc", "shard",
+    "sendbox", "mode", "nimbus", "pi", "cc",
     "fault", "watchdog", "tenant",
 };
 static_assert(sizeof(kCatNames) / sizeof(kCatNames[0]) ==
@@ -51,8 +51,6 @@ constexpr EvName kEvNames[] = {
     {TraceEv::kPiReset, "pi_reset"},
     {TraceEv::kCcUpdate, "cc_update"},
     {TraceEv::kCcReset, "cc_reset"},
-    {TraceEv::kShardSend, "shard_send"},
-    {TraceEv::kShardDeliver, "shard_deliver"},
     {TraceEv::kFaultDrop, "fault_drop"},
     {TraceEv::kFaultHold, "fault_hold"},
     {TraceEv::kFaultRelease, "fault_release"},

@@ -20,12 +20,11 @@
 //                 ppm, times in ns, sizes in bytes, counts as plain ints)
 //
 // Threading contract: a Tracer is thread-COMPATIBLE, not thread-safe. Each
-// Simulator owns exactly one, each trial/shard owns its Simulator, and the
-// TrialRunner/ShardRunner ownership structure (annotated with ThreadRole
-// capabilities, see src/util/thread_annotations.h) guarantees one driving
-// thread at a time — which is why the hot path can be a plain unsynchronized
-// store. Never share a Tracer across shards; merge at dump time instead
-// (runner/trial_obs.cc serializes per-shard traces under its own lock).
+// Simulator owns exactly one, each trial owns its Simulator, and the
+// TrialRunner runs a trial start to finish on one worker thread — which is
+// why the hot path can be a plain unsynchronized store. Never share a Tracer
+// across trials (runner/trial_obs.cc serializes captured traces under its
+// own lock).
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
@@ -59,7 +58,6 @@ enum class TraceCat : uint8_t {
   kNimbus,     // elasticity detector evaluations
   kPi,         // PI controller updates/resets
   kCc,         // bundle congestion-controller updates/resets
-  kShard,      // cross-shard boundary packet exchange (parallel DES)
   kFault,      // fault-injector drops/holds/releases
   kWatchdog,   // sendbox feedback watchdog (degrade/probe/resync)
   kTenant,     // multi-tenant manager: admission verdicts, hierarchy service
@@ -116,11 +114,6 @@ enum class TraceEv : uint16_t {
   // kCc
   kCcUpdate,  // a=rate_bps b=rtt_ns c=acked_bytes
   kCcReset,   // a=rate_bps
-  // kShard (simulation-determined payloads only — never sync bounds or
-  // anything wall-clock/worker dependent, so sharded traces are identical
-  // across --shards values)
-  kShardSend,     // a=channel_id b=channel_seq c=deliver_ns
-  kShardDeliver,  // a=channel_id b=channel_seq c=sent_ns
   // kFault
   kFaultDrop,     // a=cause(0=random 1=burst 2=blackout) b=pkt_type c=size
   kFaultHold,     // a=held_count b=pkt_type c=size_bytes (reorder capture)

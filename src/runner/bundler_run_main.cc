@@ -33,21 +33,16 @@ void PrintUsage(std::FILE* out) {
                "       bundler_run --list-names\n"
                "       bundler_run --dump-topology NAME\n"
                "       bundler_run --scenario NAME [--trials N] [--threads N]\n"
-               "                   [--shards N] [--seed-base N] [--out DIR] [--quiet]\n"
+               "                   [--seed-base N] [--out DIR] [--quiet]\n"
                "                   [--trace CATS] [--trace-out FILE]\n"
                "                   [--trace-format jsonl|text] [--trace-ring N]\n"
                "\n"
                "--dump-topology builds NAME's topology graph (validating it) and\n"
                "prints Graphviz DOT on stdout.\n"
                "\n"
-               "--shards runs each trial's simulation on N parallel workers when\n"
-               "the scenario's topology partitions into shards (conservative\n"
-               "parallel DES; see README \"Parallel simulation\"). Results are\n"
-               "byte-identical for every N.\n"
-               "\n"
                "--trace arms the per-trial flight recorder for the comma-separated\n"
                "categories (sim,link,linksched,qdisc,tcp,sendbox,mode,nimbus,pi,\n"
-               "cc,shard,fault,watchdog or 'all'). Every trial's trace is captured\n"
+               "cc,fault,watchdog,tenant or 'all'). Every trial's trace is captured\n"
                "and written, sorted by\n"
                "trial signature, to --trace-out (default DIR/NAME.trace.jsonl or\n"
                ".trace.txt); --trace-ring sets the per-trial ring capacity in\n"
@@ -108,7 +103,6 @@ int Main(int argc, char** argv) {
   std::string out_dir = "results";
   int trials = 0;
   int threads = 1;
-  int shards = 0;
   uint64_t seed_base = 0;
   bool seed_base_set = false;
   std::string trace_spec;
@@ -138,12 +132,6 @@ int Main(int argc, char** argv) {
       trials = std::atoi(next_value("--trials"));
     } else if (arg == "--threads") {
       threads = std::atoi(next_value("--threads"));
-    } else if (arg == "--shards") {
-      shards = std::atoi(next_value("--shards"));
-      if (shards < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
-        return 2;
-      }
     } else if (arg == "--seed-base") {
       seed_base = std::strtoull(next_value("--seed-base"), nullptr, 10);
       seed_base_set = true;
@@ -243,12 +231,6 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<TrialPoint> plan = ExpandTrials(spec, trials);
-  // Worker count for partition-aware scenarios; an execution knob like
-  // --threads, so it never enters the trial signature and results stay
-  // byte-identical for every value.
-  for (TrialPoint& point : plan) {
-    point.shards = shards;
-  }
   if (!quiet) {
     std::fprintf(stderr, "%s: %zu trials (%zu variants), %d thread(s)\n",
                  spec.name.c_str(), plan.size(), spec.variants.size(),

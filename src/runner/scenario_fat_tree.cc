@@ -1,27 +1,19 @@
-// fat_tree_incast: staggered TCP incast waves across a leaf/spine fabric —
-// the first scenario whose topology genuinely decomposes for the parallel-DES
-// runner (src/sim/shard_runner.h). The fabric partitions into num_leaves + 2
-// shards; `--shards N` runs them on N workers with byte-identical results.
+// fat_tree_incast: staggered TCP incast waves across a leaf/spine fabric,
+// run on one Simulator.
 //
 // Workload: every host on leaves 1..L-1 fires size-fixed flows at leaf 0's
 // hosts (round-robin) in periodic waves with seeded per-flow start jitter —
 // a classic incast onto leaf 0's downlinks. All flows are created up front
-// with deferred starts, so flow-id assignment is single-threaded and
-// deterministic; only packet events cross shards mid-run. Completed senders
-// and receivers retire into the FlowTable (reported as flow.releases) and
-// their blocks are recycled.
+// with deferred starts. Completed senders and receivers retire into the
+// FlowTable (reported as flow.releases) and their blocks are recycled.
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/runner/builtin_scenarios.h"
 #include "src/runner/trial_obs.h"
-#include "src/sim/shard_channel.h"
-#include "src/sim/shard_runner.h"
 #include "src/topo/fat_tree.h"
-#include "src/topo/partition.h"
 #include "src/transport/tcp_flow.h"
-#include "src/util/check.h"
 #include "src/util/stats.h"
 
 namespace bundler {
@@ -41,18 +33,10 @@ TrialResult RunTrial(const TrialPoint& point) {
   const FatTreeConfig cfg = IncastFabric();
   FatTreeGraph g;
   NetBuilder b = FatTreeBuilder(cfg, &g);
-  const PartitionPlan plan = PartitionTopology(b);
-  BUNDLER_CHECK(plan.num_groups == cfg.num_leaves + 2);
 
-  std::vector<std::unique_ptr<Simulator>> sim_store;
-  std::vector<Simulator*> sims;
-  for (int i = 0; i < plan.num_groups; ++i) {
-    sim_store.push_back(std::make_unique<Simulator>());
-    sims.push_back(sim_store.back().get());
-  }
-  ShardChannelSet channels;
-  std::unique_ptr<Net> net = b.Build(plan, sims, &channels);
-  BeginTrialObs(sims);
+  Simulator sim;
+  std::unique_ptr<Net> net = b.Build(&sim);
+  BeginTrialObs(&sim);
 
   // Seeded start jitter (splitmix-style): spreads each wave's flows over a
   // couple of milliseconds so the incast is bursty but not lockstep.
@@ -62,8 +46,6 @@ TrialResult RunTrial(const TrialPoint& point) {
     return TimeDelta::Micros(static_cast<int64_t>((rng >> 33) % 2000));
   };
 
-  // All completions land in leaf 0's shard, so one plain vector is safe; its
-  // order is part of the deterministic per-shard event sequence.
   std::vector<double> fct_ms;
   int rr = 0;
   for (int w = 0; w < kWaves; ++w) {
@@ -82,16 +64,13 @@ TrialResult RunTrial(const TrialPoint& point) {
                           [&fct_ms, start](TimePoint end) {
                             fct_ms.push_back((end - start).ToMillis());
                           });
-        src->sim()->ScheduleAt(start, [sender]() { sender->Start(); });
+        sim.ScheduleAt(start, [sender]() { sender->Start(); });
       }
     }
   }
   const size_t flows_created = static_cast<size_t>(rr);
 
-  ShardRunner::Options opt;
-  opt.workers = point.shards > 0 ? point.shards : 1;
-  ShardRunner sr(sims, &channels, opt);
-  sr.RunUntil(TimePoint::Zero() + kRunUntil);
+  sim.RunUntil(TimePoint::Zero() + kRunUntil);
 
   TrialResult r;
   QuantileEstimator q;
@@ -103,10 +82,8 @@ TrialResult RunTrial(const TrialPoint& point) {
   r.scalars["fct_ms_p99"] = q.empty() ? 0.0 : q.Quantile(0.99);
   r.scalars["flows_completed"] = static_cast<double>(fct_ms.size());
   r.scalars["flows_created"] = static_cast<double>(flows_created);
-  // Intrinsic shard count (partition-determined, never the worker count).
-  r.scalars["shards"] = static_cast<double>(plan.num_groups);
   r.scalars["flow.releases"] = static_cast<double>(net->flows()->releases());
-  EndTrialObs(sims, point, &r);
+  EndTrialObs(&sim, point, &r);
   return r;
 }
 
@@ -116,8 +93,8 @@ void RegisterFatTreeIncast(ScenarioRegistry* registry) {
   ScenarioSpec spec;
   spec.name = "fat_tree_incast";
   spec.summary =
-      "Staggered TCP incast onto leaf 0 of a 4-leaf/2-spine fabric; "
-      "partitions into 6 shards for the parallel-DES runner (--shards N)";
+      "Staggered TCP incast onto leaf 0 of a 4-leaf/2-spine fabric: 30 waves "
+      "of 256 KB flows from 6 hosts, every flow run to completion";
   spec.variants = {"default"};
   spec.default_trials = 3;
   registry->Register(std::move(spec), RunTrial, []() {

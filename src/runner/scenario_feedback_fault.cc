@@ -188,17 +188,11 @@ FaultProfileSpec BlackoutProfile(uint64_t trial_seed) {
 
 TrialResult RunBlackoutTrial(const TrialPoint& point) {
   Variant v = ParseVariant(point.variant, "feedback_blackout");
-  if (point.shards > 0) {
-    CheckDumbbellIndivisible(FaultConfig(v));
-  }
   return RunFaultTrial(v, BlackoutProfile(point.seed), point);
 }
 
 TrialResult RunLossSweepTrial(const TrialPoint& point) {
   Variant v = ParseVariant(point.variant, "feedback_loss_sweep");
-  if (point.shards > 0) {
-    CheckDumbbellIndivisible(FaultConfig(v));
-  }
   FaultProfileSpec fault;
   fault.target = FaultTarget::kCtl;
   fault.loss_prob = point.Param("feedback_loss");

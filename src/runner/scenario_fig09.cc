@@ -42,9 +42,6 @@ TrialResult RunTrial(const TrialPoint& point) {
   ExperimentConfig cfg = PaperExperimentDefaults(var.bundler, point.seed);
   cfg.net.in_network_fq = var.in_network_fq;
   cfg.net.sendbox.scheduler = var.sched;
-  if (point.shards > 0) {
-    CheckDumbbellIndivisible(cfg.net);  // 1 shard: legacy run == sharded run
-  }
   Experiment e(cfg);
   BeginTrialObs(e.sim());
   e.Run();

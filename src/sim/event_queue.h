@@ -29,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/inline_callback.h"
+#include "src/sim/inline_function.h"
 #include "src/util/time.h"
 
 namespace bundler {
@@ -41,11 +41,11 @@ class EventQueue {
  public:
   using Callback = InlineCallback;
 
-  // Profiling counters for the parallel-DES work: operation mix, peak heap
-  // depth, and a log2 histogram of heap size at dispatch time (bucket i
-  // counts dispatches that popped from a heap of size in [2^(i-1), 2^i)).
-  // Maintained unconditionally — each hook is one or two increments on
-  // operations that already cost a sift.
+  // Profiling counters: operation mix, peak heap depth, and a log2
+  // histogram of heap size at dispatch time (bucket i counts dispatches that
+  // popped from a heap of size in [2^(i-1), 2^i)). Maintained
+  // unconditionally — each hook is one or two increments on operations that
+  // already cost a sift.
   struct Profile {
     uint64_t pushes = 0;            // one-shot Push calls
     uint64_t periodic_pushes = 0;   // PushPeriodic calls (not re-arms)

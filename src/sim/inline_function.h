@@ -1,15 +1,21 @@
-// Type-erased R(Args...) callable with fixed inline storage and no heap
-// allocation — InlineCallback generalized over the signature. Used where a
-// long-lived component stores a small callback (e.g. QdiscSampler's rate
-// provider, LambdaHandler's packet sink, monitor packet predicates):
-// std::function would heap-allocate any multi-pointer capture, while this
-// stores it inline and rejects oversized captures at compile time. The
-// capacity is deliberately small (a handful of pointers); to bind more
-// state, park it in the owning object and capture a pointer.
+// Type-erased R(Args...) callables with fixed inline storage and no heap
+// allocation, ever: storing or moving one costs a bounded copy of its inline
+// bytes, never an operator new. Oversized captures fail to compile
+// (static_assert), which keeps the no-allocation guarantee honest at every
+// call site: to bind more state than fits, park it in the owning object and
+// capture a pointer.
 //
-// Unlike InlineCallback this type is COPYABLE (monitor specs are copied out
-// of const NetBuilder during Build), so the callable must be
-// copy-constructible; that is enforced with a static_assert at Emplace.
+// One template, two aliases:
+//  - InlineCallback: void(), 192 bytes, move-only. The event queue's slot
+//    callback; the capacity fits the largest hot-path capture in the tree — a
+//    Link transmit/propagation event carrying a Packet (176 bytes) plus its
+//    owner pointer. Move-only, so events may capture move-only state.
+//  - InlineFunction<Sig>: 64 bytes (a handful of pointers), COPYABLE. Used
+//    where a long-lived component stores a small callback (QdiscSampler's
+//    rate provider, LambdaHandler's packet sink, monitor packet predicates):
+//    std::function would heap-allocate any multi-pointer capture, and monitor
+//    specs are copied out of a const NetBuilder during Build, so the callable
+//    must be copy-constructible (static_assert at Emplace).
 #ifndef SRC_SIM_INLINE_FUNCTION_H_
 #define SRC_SIM_INLINE_FUNCTION_H_
 
@@ -21,77 +27,88 @@
 
 namespace bundler {
 
-template <typename Sig>
-class InlineFunction;  // only the R(Args...) specialization exists
+template <typename Sig, size_t Capacity, bool Copyable>
+class BasicInlineFunction;  // only the R(Args...) specialization exists
 
-template <typename R, typename... Args>
-class InlineFunction<R(Args...)> {
+template <typename R, typename... Args, size_t Capacity, bool Copyable>
+class BasicInlineFunction<R(Args...), Capacity, Copyable> {
  public:
-  static constexpr size_t kCapacity = 64;
+  static constexpr size_t kCapacity = Capacity;
 
-  InlineFunction() = default;
-  InlineFunction(std::nullptr_t) {}  // NOLINT(runtime/explicit): like std::function
+  BasicInlineFunction() = default;
+  BasicInlineFunction(std::nullptr_t) {}  // NOLINT(runtime/explicit): like std::function
 
-  template <typename F, typename = std::enable_if_t<
-                            !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                            std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
-  InlineFunction(F&& f) {  // NOLINT(runtime/explicit): lambda -> function
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, BasicInlineFunction> &&
+                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  BasicInlineFunction(F&& f) {  // NOLINT(runtime/explicit): lambda -> function
     Emplace(std::forward<F>(f));
   }
 
+  // Constructs the callable directly in inline storage (the event queue's
+  // Push hot path uses this to skip a temporary). Any previous callable must
+  // be gone.
   template <typename F>
   void Emplace(F&& f) {
     using Fn = std::decay_t<F>;
     static_assert(sizeof(Fn) <= kCapacity,
-                  "capture exceeds InlineFunction::kCapacity; indirect "
-                  "through the owning object rather than growing the slot");
+                  "capture exceeds the inline capacity; shrink the capture "
+                  "(indirect through the owning object) rather than growing "
+                  "every slot");
     static_assert(alignof(Fn) <= alignof(std::max_align_t));
-    static_assert(std::is_copy_constructible_v<Fn>,
+    static_assert(!Copyable || std::is_copy_constructible_v<Fn>,
                   "InlineFunction is copyable, so the callable must be too; "
                   "park move-only state in the owning object");
-    Reset();
     ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
     invoke_ = [](void* s, Args... args) -> R {
       return (*static_cast<Fn*>(s))(std::forward<Args>(args)...);
     };
     if constexpr (std::is_trivially_copyable_v<Fn> &&
                   std::is_trivially_destructible_v<Fn>) {
-      manage_ = nullptr;  // raw memcpy moves/copies the storage bytes
+      // Trivial callables (the vast majority: lambdas over pointers, PODs,
+      // and Packets) move and copy by plain memcpy and need no destructor —
+      // the manager indirection is skipped entirely.
+      manage_ = nullptr;
     } else {
       manage_ = [](Op op, void* self, void* other) {
         switch (op) {
           case Op::kDestroy:
             static_cast<Fn*>(self)->~Fn();
             break;
-          case Op::kMoveFrom:
+          case Op::kMoveFrom:  // move-construct *self from *other, then destroy
             ::new (self) Fn(std::move(*static_cast<Fn*>(other)));
             static_cast<Fn*>(other)->~Fn();
             break;
           case Op::kCopyFrom:
-            ::new (self) Fn(*static_cast<const Fn*>(other));
+            if constexpr (Copyable) {
+              ::new (self) Fn(*static_cast<const Fn*>(other));
+            }
             break;
         }
       };
     }
   }
 
-  InlineFunction(InlineFunction&& o) noexcept { MoveFrom(o); }
-  InlineFunction& operator=(InlineFunction&& o) noexcept {
+  BasicInlineFunction(BasicInlineFunction&& o) noexcept { MoveFrom(o); }
+  BasicInlineFunction& operator=(BasicInlineFunction&& o) noexcept {
     if (this != &o) {
       Reset();
       MoveFrom(o);
     }
     return *this;
   }
-  InlineFunction(const InlineFunction& o) { CopyFrom(o); }
-  InlineFunction& operator=(const InlineFunction& o) {
+  BasicInlineFunction(const BasicInlineFunction& o) requires Copyable {
+    CopyFrom(o);
+  }
+  BasicInlineFunction& operator=(const BasicInlineFunction& o) requires Copyable {
     if (this != &o) {
       Reset();
       CopyFrom(o);
     }
     return *this;
   }
-  ~InlineFunction() { Reset(); }
+  ~BasicInlineFunction() { Reset(); }
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
@@ -113,24 +130,25 @@ class InlineFunction<R(Args...)> {
   using InvokeFn = R (*)(void*, Args...);
   using ManageFn = void (*)(Op, void*, void*);
 
-  void MoveFrom(InlineFunction& o) {
+  void MoveFrom(BasicInlineFunction& o) {
     invoke_ = o.invoke_;
     manage_ = o.manage_;
     if (manage_ != nullptr) {
       manage_(Op::kMoveFrom, storage_, o.storage_);
     } else if (invoke_ != nullptr) {
+      // Trivial payload: the fixed-size copy beats a sized one (the length
+      // is a compile-time constant, so it vectorizes) and is always safe.
       std::memcpy(storage_, o.storage_, kCapacity);
     }
     o.invoke_ = nullptr;
     o.manage_ = nullptr;
   }
 
-  void CopyFrom(const InlineFunction& o) {
+  void CopyFrom(const BasicInlineFunction& o) {
     invoke_ = o.invoke_;
     manage_ = o.manage_;
     if (manage_ != nullptr) {
-      manage_(Op::kCopyFrom, storage_,
-              const_cast<unsigned char*>(o.storage_));
+      manage_(Op::kCopyFrom, storage_, const_cast<unsigned char*>(o.storage_));
     } else if (invoke_ != nullptr) {
       std::memcpy(storage_, o.storage_, kCapacity);
     }
@@ -140,6 +158,11 @@ class InlineFunction<R(Args...)> {
   InvokeFn invoke_ = nullptr;
   ManageFn manage_ = nullptr;
 };
+
+using InlineCallback = BasicInlineFunction<void(), 192, /*Copyable=*/false>;
+
+template <typename Sig>
+using InlineFunction = BasicInlineFunction<Sig, 64, /*Copyable=*/true>;
 
 }  // namespace bundler
 

@@ -72,34 +72,12 @@ class Simulator {
   // Stop an in-progress Run* after the current event returns.
   void Stop() { stopped_ = true; }
 
-  // --- Parallel-DES hooks (src/sim/shard_runner) -------------------------
-  // A sharded run drives each group's simulator one timestamp-batch at a
-  // time, merging boundary arrivals from peer shards between batches. These
-  // are also usable standalone (tests).
+  // --- Step-wise driving (the loop RunUntil/RunAll run; tests use it too) ---
   bool HasPending() const { return !queue_.Empty(); }
   // Time of the earliest pending event; callers must ensure HasPending().
   TimePoint PeekNextTime() const { return queue_.NextTime(); }
   // Dispatches every event scheduled for the earliest pending time.
   void DispatchNextBatch();
-  // Runs `f` as a synthetic event at `t` (>= now): advances the clock and
-  // counts one dispatched event. This is how a boundary packet arrival is
-  // delivered — it replaces the propagation-delay event the link would have
-  // scheduled in a single-simulator run, so events_dispatched summed across
-  // shards matches the unsharded count.
-  template <typename F>
-  void RunInline(TimePoint t, F&& f) {
-    BUNDLER_CHECK(t >= now_);
-    now_ = t;
-    ++events_dispatched_;
-    f();
-  }
-  // Advances the clock without dispatching (end-of-round catch-up, mirroring
-  // RunUntil's final `now_ = until`). No-op when already past `t`.
-  void FastForwardTo(TimePoint t) {
-    if (now_ < t) {
-      now_ = t;
-    }
-  }
 
   uint64_t events_dispatched() const { return events_dispatched_; }
 

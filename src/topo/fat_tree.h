@@ -1,19 +1,12 @@
-// Two-tier leaf/spine ("fat tree") preset over the composable NetBuilder.
-//
-// Unlike the paper's dumbbell — whose Bundler control loop welds the whole
-// graph into one indivisible shard (see topo/partition.h) — a leaf/spine
-// fabric decomposes naturally for conservative parallel DES: every leaf
-// router plus its directly-attached host sites forms one shard (access links
-// have zero delay, so they must be co-located), each spine router is its own
-// shard, and every leaf<->spine fabric link is a shard boundary whose
-// propagation delay becomes the peer shard's lookahead. A fabric of L leaves
-// partitions into L + 2 shards with no Colocate hints.
+// Two-tier leaf/spine ("fat tree") preset over the composable NetBuilder:
+// every leaf router has its host sites attached by zero-delay access links,
+// and every leaf connects to both spine routers by delayed fabric links.
 //
 //        spine0            spine1
-//      |   |   |         |   |   |     <- fabric links (delay > 0: boundaries)
+//      |   |   |         |   |   |     <- fabric links (delay > 0)
 //   leaf0   leaf1   ...   leaf(L-1)
 //    |  |    |  |          |  |
-//   h0  h1  h0  h1   ...  h0  h1      <- access links (zero delay: co-located)
+//   h0  h1  h0  h1   ...  h0  h1      <- access links (zero delay)
 //
 // Routing is the builder's per-router BFS with declaration-order tie-breaks;
 // leaf l declares its uplink to spine (l % 2) first, so alternate leaves
@@ -33,7 +26,7 @@ struct FatTreeConfig {
   int hosts_per_leaf = 2;  // >= 1
 
   Rate fabric_rate = Rate::Mbps(400);
-  TimeDelta fabric_delay = TimeDelta::Millis(2);  // per fabric link (lookahead)
+  TimeDelta fabric_delay = TimeDelta::Millis(2);  // per fabric link
   int64_t fabric_buffer_bytes = 512 * 1024;
 
   Rate access_rate = Rate::Gbps(1);  // host <-> leaf, zero delay

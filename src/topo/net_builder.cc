@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "src/qdisc/fifo.h"
-#include "src/sim/shard_channel.h"
-#include "src/topo/partition.h"
 #include "src/util/check.h"
 
 namespace bundler {
@@ -300,12 +298,6 @@ NetBuilder::FaultId NetBuilder::AddFaultProfile(EdgeId link,
   return static_cast<FaultId>(faults_.size()) - 1;
 }
 
-void NetBuilder::Colocate(NodeId a, NodeId b) {
-  CheckNode(a, "Colocate(a)");
-  CheckNode(b, "Colocate(b)");
-  colocate_.emplace_back(a, b);
-}
-
 void NetBuilder::Validate() const {
   BUNDLER_CHECK_MSG(!nodes_.empty(), "topology has no nodes");
 
@@ -343,38 +335,9 @@ void NetBuilder::Validate() const {
 
 std::unique_ptr<Net> NetBuilder::Build(Simulator* sim) const {
   BUNDLER_CHECK(sim != nullptr);
-  return BuildImpl({sim}, nullptr, nullptr);
-}
-
-std::unique_ptr<Net> NetBuilder::Build(const PartitionPlan& plan,
-                                       const std::vector<Simulator*>& sims,
-                                       ShardChannelSet* channels) const {
-  BUNDLER_CHECK(channels != nullptr);
-  BUNDLER_CHECK_MSG(static_cast<int>(sims.size()) == plan.num_groups,
-                    "sharded build needs one simulator per group (%d), got %zu",
-                    plan.num_groups, sims.size());
-  for (Simulator* sim : sims) {
-    BUNDLER_CHECK(sim != nullptr);
-  }
-  return BuildImpl(sims, &plan, channels);
-}
-
-std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
-                                           const PartitionPlan* plan,
-                                           ShardChannelSet* channels) const {
   Validate();
 
-  // Every component is constructed into the simulator of its node's group
-  // (unsharded: everything into sims[0]). Links, monitors, and schedule
-  // drivers execute on the *sending* side of their edge, so they follow
-  // `from`; boundary links hand finished packets to the peer shard instead of
-  // scheduling a local delivery.
-  auto sim_of = [&](NodeId n) {
-    return plan == nullptr ? sims[0]
-                           : sims[static_cast<size_t>(plan->group_of(n))];
-  };
-
-  std::unique_ptr<Net> net(new Net(sims[0]));
+  std::unique_ptr<Net> net(new Net(sim));
 
   // --- Phase 1: nodes (passive). ---
   net->hosts_.resize(nodes_.size());
@@ -382,9 +345,8 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
   for (size_t n = 0; n < nodes_.size(); ++n) {
     const NodeDecl& node = nodes_[n];
     if (node.kind == NodeKind::kSite) {
-      net->hosts_[n] = std::make_unique<Host>(sim_of(static_cast<NodeId>(n)),
-                                              MakeAddress(node.site, kSiteHost),
-                                              /*egress=*/nullptr);
+      net->hosts_[n] = std::make_unique<Host>(
+          sim, MakeAddress(node.site, kSiteHost), /*egress=*/nullptr);
     } else {
       net->routers_[n] = std::make_unique<Router>(node.name);
     }
@@ -407,13 +369,12 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
                                          ? edge.link.qdisc_factory()
                                          : std::make_unique<DropTailFifo>(
                                                edge.link.buffer_bytes);
-      net->links_[e] = std::make_unique<Link>(sim_of(edge.from), edge.name,
-                                              edge.link.rate, edge.link.delay,
-                                              std::move(queue),
+      net->links_[e] = std::make_unique<Link>(sim, edge.name, edge.link.rate,
+                                              edge.link.delay, std::move(queue),
                                               /*dst=*/nullptr);
     } else if (edge.kind == EdgeKind::kMultipath) {
       net->multipaths_[e] = std::make_unique<MultipathLink>(
-          sim_of(edge.from), edge.name, edge.paths, edge.lb_mode, /*dst=*/nullptr);
+          sim, edge.name, edge.paths, edge.lb_mode, /*dst=*/nullptr);
     }
   }
 
@@ -428,9 +389,8 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
       net->queue_monitors_[m] = std::make_unique<QueueDelayMonitor>(mon.filter);
       obs = net->queue_monitors_[m].get();
     } else {
-      net->rate_meters_[m] = std::make_unique<RateMeter>(
-          sim_of(edges_[static_cast<size_t>(mon.edge)].from), mon.window,
-          mon.filter);
+      net->rate_meters_[m] =
+          std::make_unique<RateMeter>(sim, mon.window, mon.filter);
       obs = net->rate_meters_[m].get();
     }
     size_t e = static_cast<size_t>(mon.edge);
@@ -464,26 +424,22 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
     rc.sendbox_ctl_addr = MakeAddress(src.site, kBundlerCtlHost);
     rc.initial_epoch_pkts = bundle.sendbox.initial_epoch_pkts;
     size_t e = static_cast<size_t>(bundle.ingress_edge);
-    // The receivebox executes where its ingress edge delivers; the partition
-    // keeps the whole bundle path in one group, so `from` == `to`'s group.
     net->receiveboxes_[b] = std::make_unique<Receivebox>(
-        sim_of(edges_[e].to), rc, /*forward=*/delivery[e], /*reverse=*/nullptr);
+        sim, rc, /*forward=*/delivery[e], /*reverse=*/nullptr);
     delivery[e] = net->receiveboxes_[b].get();
   }
 
   // --- Phase 4b: fault injectors wrap each faulted edge's delivery chain
   // (passive: nothing is scheduled until a packet is held). Built in reverse
   // declaration order so the first-declared profile is outermost — it acts
-  // first on arriving packets, before later profiles and the receiveboxes.
-  // The injector executes where the edge delivers, which also covers shard-
-  // boundary links (the channel's dst below is the wrapped chain). ---
+  // first on arriving packets, before later profiles and the receiveboxes. ---
   net->fault_injectors_.resize(faults_.size());
   for (size_t f = faults_.size(); f-- > 0;) {
     const FaultDecl& fault = faults_[f];
     const size_t e = static_cast<size_t>(fault.edge);
     net->fault_injectors_[f] = std::make_unique<FaultInjector>(
-        sim_of(edges_[e].to), edges_[e].name + ".f" + std::to_string(f),
-        fault.spec, /*next=*/delivery[e]);
+        sim, edges_[e].name + ".f" + std::to_string(f), fault.spec,
+        /*next=*/delivery[e]);
     delivery[e] = net->fault_injectors_[f].get();
   }
 
@@ -502,23 +458,6 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
       case EdgeKind::kWire:
         net->edge_entries_[e] = delivery[e];
         break;
-    }
-  }
-
-  // Boundary links exchange packets through SPSC rings instead of scheduling
-  // local delivery; the link's propagation delay rides with each packet and
-  // is the receiving shard's conservative lookahead (see sim/shard_channel.h).
-  if (plan != nullptr) {
-    for (const PartitionPlan::Boundary& bd : plan->boundaries) {
-      const size_t e = static_cast<size_t>(bd.edge);
-      ShardChannel::Spec spec;
-      spec.id = static_cast<uint32_t>(bd.edge);
-      spec.src_shard = bd.src_group;
-      spec.dst_shard = bd.dst_group;
-      spec.lookahead_ns = bd.lookahead_ns;
-      spec.dst = delivery[e];
-      spec.src_sim = sims[static_cast<size_t>(bd.src_group)];
-      net->links_[e]->set_boundary(channels->Add(spec));
     }
   }
 
@@ -602,8 +541,7 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
     }
     net->managers_[static_cast<size_t>(site_node)] =
         std::make_unique<SendboxManager>(
-            sim_of(site_node), policy, std::move(site_tenants),
-            std::move(decls), src.site,
+            sim, policy, std::move(site_tenants), std::move(decls), src.site,
             MakeAddress(src.site, kBundlerCtlHost),
             net->edge_entries_[static_cast<size_t>(egress)], site_name);
   };
@@ -760,8 +698,7 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
   net->link_schedules_.reserve(schedules_.size());
   for (const ScheduleDecl& sched : schedules_) {
     net->link_schedules_.push_back(std::make_unique<LinkScheduleDriver>(
-        sim_of(edges_[static_cast<size_t>(sched.edge)].from),
-        net->links_[static_cast<size_t>(sched.edge)].get(), sched.events,
+        sim, net->links_[static_cast<size_t>(sched.edge)].get(), sched.events,
         sched.repeat_period));
   }
 

@@ -49,8 +49,6 @@ inline constexpr uint16_t kBundlerCtlHost = 0xFFFE;
 inline constexpr uint16_t kSiteHost = 1;
 
 class Net;
-class ShardChannelSet;
-struct PartitionPlan;
 
 class NetBuilder {
  public:
@@ -149,12 +147,6 @@ class NetBuilder {
   // byte-identical to a fault-free one (no components registered).
   FaultId AddFaultProfile(EdgeId link, const FaultProfileSpec& spec);
 
-  // --- Partitioning (conservative parallel DES; see topo/partition.h) ---
-  // Declares that `a` and `b` must land in the same shard. Use for couplings
-  // the partitioner cannot see from the graph alone (e.g. a scenario that
-  // wires a custom handler across two nodes).
-  void Colocate(NodeId a, NodeId b);
-
   // --- Introspection ---
   // Graphviz DOT of the declared graph: sites, routers, links (rate/delay),
   // bundle attachments and monitors. Does not require Build.
@@ -171,23 +163,8 @@ class NetBuilder {
   // constructed component; dropping it tears the topology down immediately.
   [[nodiscard]] std::unique_ptr<Net> Build(Simulator* sim) const;
 
-  // Sharded materialization: every node's components are constructed into the
-  // simulator of its group (`sims[plan.group_of(node)]`), and each boundary
-  // link of `plan` gets a ShardChannel in `channels` instead of a local
-  // delivery event. Construction order — and with it per-shard event-id
-  // assignment — follows declaration order exactly as in the unsharded Build,
-  // so the per-shard event sequences depend only on the plan, never on how
-  // many workers later execute the shards.
-  [[nodiscard]] std::unique_ptr<Net> Build(
-      const PartitionPlan& plan, const std::vector<Simulator*>& sims,
-      ShardChannelSet* channels) const;
-
  private:
   friend class Net;
-  // The partitioner reads the declaration vectors directly (topo/partition.cc).
-  friend PartitionPlan PartitionTopology(const NetBuilder& builder);
-  friend PartitionPlan PartitionFromAssignment(
-      const NetBuilder& builder, const std::vector<int>& group_of_node);
 
   enum class NodeKind { kSite, kRouter };
   enum class EdgeKind { kLink, kWire, kMultipath };
@@ -226,9 +203,6 @@ class NetBuilder {
   NodeId CheckNode(NodeId id, const char* what) const;
   EdgeId CheckEdge(EdgeId id, const char* what) const;
   void Validate() const;
-  std::unique_ptr<Net> BuildImpl(const std::vector<Simulator*>& sims,
-                                 const PartitionPlan* plan,
-                                 ShardChannelSet* channels) const;
 
   std::vector<NodeDecl> nodes_;
   std::vector<EdgeDecl> edges_;
@@ -240,7 +214,6 @@ class NetBuilder {
   std::vector<MonitorDecl> monitors_;
   std::vector<ScheduleDecl> schedules_;
   std::vector<FaultDecl> faults_;
-  std::vector<std::pair<NodeId, NodeId>> colocate_;
 };
 
 // The materialized network. Owns every component; accessors hand out raw

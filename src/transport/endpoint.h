@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <vector>
 
@@ -24,7 +23,6 @@
 #include "src/sim/simulator.h"
 #include "src/util/check.h"
 #include "src/util/flat_map.h"
-#include "src/util/thread_annotations.h"
 
 namespace bundler {
 
@@ -82,40 +80,29 @@ class Host : public PacketHandler {
 // that never retire (backlogged flows, ping-pong apps) live until the table
 // goes away.
 //
-// Every table structure is GUARDED_BY(mu_) because in a sharded run flows
-// complete concurrently in different shards. Object construction runs outside
-// the lock: flow constructors send packets and schedule events, and must not
-// hold the table mutex while doing so.
+// Thread-compatible, like every component of a Simulator: each table belongs
+// to one Net in one Simulator, driven by the one worker running its trial.
 class FlowTable {
  public:
   FlowTable() = default;
   FlowTable(const FlowTable&) = delete;
   FlowTable& operator=(const FlowTable&) = delete;
   ~FlowTable() {
-    std::lock_guard<std::mutex> lock(mu_);
     for (size_t i = owned_.size(); i > 0; --i) {
       owned_[i - 1].destroy(owned_[i - 1].obj);
     }
   }
 
-  [[nodiscard]] uint64_t AllocFlowId() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return next_flow_id_++;
-  }
+  [[nodiscard]] uint64_t AllocFlowId() { return next_flow_id_++; }
 
   template <typename T, typename... Args>
   [[nodiscard]] T* Emplace(Args&&... args) {
     static_assert(sizeof(T) <= kBlockBytes, "flow object larger than an arena block");
     static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
                   "arena blocks are new[]-aligned");
-    void* mem;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      DestroyRetired();
-      mem = AllocateBlock(sizeof(T));
-    }
+    DestroyRetired();
+    void* mem = AllocateBlock(sizeof(T));
     T* obj = ::new (mem) T(std::forward<Args>(args)...);
-    std::lock_guard<std::mutex> lock(mu_);
     Header(obj)->owned_idx = static_cast<uint32_t>(owned_.size());
     owned_.push_back(Owned{obj, [](void* p) { static_cast<T*>(p)->~T(); }});
     return obj;
@@ -126,7 +113,6 @@ class FlowTable {
   // object is destroyed, and its block recycled, by the next Emplace or
   // Retire.
   void Retire(void* obj) {
-    std::lock_guard<std::mutex> lock(mu_);
     BUNDLER_CHECK_MSG(Header(obj)->magic == kLiveMagic,
                       "Retire of a pointer this table does not own");
     BUNDLER_CHECK(obj != retired_);
@@ -136,24 +122,12 @@ class FlowTable {
   }
 
   // Objects constructed and not yet retired.
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return owned_.size() - (retired_ != nullptr ? 1 : 0);
-  }
+  size_t size() const { return owned_.size() - (retired_ != nullptr ? 1 : 0); }
   // Retire() calls so far.
-  uint64_t releases() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return releases_;
-  }
+  uint64_t releases() const { return releases_; }
   // Emplaces served from a free list rather than fresh arena space.
-  uint64_t reuses() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return reuses_;
-  }
-  size_t arena_blocks() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return blocks_.size();
-  }
+  uint64_t reuses() const { return reuses_; }
+  size_t arena_blocks() const { return blocks_.size(); }
 
  private:
   struct Owned {
@@ -180,7 +154,7 @@ class FlowTable {
 
   // Destroys the pending retiree (if any), swap-removes it from owned_, and
   // pushes its block onto its size class's free list.
-  void DestroyRetired() REQUIRES(mu_) {
+  void DestroyRetired() {
     if (retired_ == nullptr) {
       return;
     }
@@ -204,7 +178,7 @@ class FlowTable {
 
   // Returns the payload address of a header-prefixed block of `bytes`'s size
   // class, recycled from the free list when one is available.
-  void* AllocateBlock(size_t bytes) REQUIRES(mu_) {
+  void* AllocateBlock(size_t bytes) {
     const size_t cls = (bytes + kGranule - 1) / kGranule;
     if (free_lists_.size() <= cls) {
       free_lists_.resize(cls + 1, nullptr);
@@ -225,7 +199,7 @@ class FlowTable {
     return static_cast<unsigned char*>(block) + sizeof(ObjectHeader);
   }
 
-  void* AllocateArena(size_t bytes, size_t align) REQUIRES(mu_) {
+  void* AllocateArena(size_t bytes, size_t align) {
     size_t at = (arena_used_ + align - 1) & ~(align - 1);
     if (blocks_.empty() || at + bytes > kBlockBytes) {
       // Amortized arena growth; steady state recycles via free lists.
@@ -240,18 +214,17 @@ class FlowTable {
   // object bigger than a block would be a bug worth hearing about loudly.
   static constexpr size_t kBlockBytes = 256 * 1024;
 
-  mutable std::mutex mu_;
-  uint64_t next_flow_id_ GUARDED_BY(mu_) = 1;
-  std::vector<std::unique_ptr<unsigned char[]>> blocks_ GUARDED_BY(mu_);
-  size_t arena_used_ GUARDED_BY(mu_) = 0;
-  std::vector<Owned> owned_ GUARDED_BY(mu_);
+  uint64_t next_flow_id_ = 1;
+  std::vector<std::unique_ptr<unsigned char[]>> blocks_;
+  size_t arena_used_ = 0;
+  std::vector<Owned> owned_;
   // Indexed by size class, intrusive links through the dead blocks.
-  std::vector<void*> free_lists_ GUARDED_BY(mu_);
+  std::vector<void*> free_lists_;
   // Retired but not yet destroyed: at most one, since every Retire and
   // Emplace destroys the previous retiree first.
-  void* retired_ GUARDED_BY(mu_) = nullptr;
-  uint64_t releases_ GUARDED_BY(mu_) = 0;
-  uint64_t reuses_ GUARDED_BY(mu_) = 0;
+  void* retired_ = nullptr;
+  uint64_t releases_ = 0;
+  uint64_t reuses_ = 0;
 };
 
 }  // namespace bundler

@@ -1,5 +1,5 @@
 // Clang thread-safety annotation shim (the standard GUARDED_BY/REQUIRES
-// macro set), plus the project's phantom ThreadRole capability.
+// macro set).
 //
 // Under Clang the library is compiled with -Wthread-safety
 // -Werror=thread-safety (see CMakeLists.txt), so the annotations are a
@@ -13,22 +13,12 @@
 //    guards; every guarded field carries GUARDED_BY(mu_). Raw std::mutex
 //    declarations without annotations are rejected by scripts/bundler_lint.py
 //    (rule raw-mutex).
-//  - Thread roles: lock-free single-producer/single-consumer structures
-//    (SpscRing) and thread-affine owner state (ShardRunner's per-shard Shard)
-//    use a ThreadRole phantom capability. The role is never "locked" at
-//    runtime — holding it is a structural property (the partition's static
-//    shard->worker map, the topology's producer-side link ownership). Code on
-//    the privileged side calls role.Assert() (ASSERT_CAPABILITY: tells the
-//    analysis the capability is held from here to the end of the function,
-//    costs nothing at runtime), and the guarded API carries REQUIRES(role).
-//    Any new call site is therefore forced to state — visibly, next to the
-//    call — which thread it believes it is running on.
 //  - Thread-compatible simulation state (Tracer, CounterRegistry, EventQueue,
-//    every network component): owned by exactly one Simulator, which is owned
-//    by exactly one trial/shard and driven by exactly one worker thread at a
-//    time. These are deliberately NOT annotated: their single-threadedness is
-//    a property of the TrialRunner/ShardRunner ownership structure, which is
-//    where the annotations live.
+//    FlowTable, every network component): owned by exactly one Simulator,
+//    which is owned by exactly one trial and driven by the one TrialRunner
+//    worker that runs it. These are deliberately NOT annotated: their
+//    single-threadedness is a property of the TrialRunner's ownership
+//    structure, not of a lock.
 #ifndef SRC_UTIL_THREAD_ANNOTATIONS_H_
 #define SRC_UTIL_THREAD_ANNOTATIONS_H_
 
@@ -82,25 +72,5 @@
 
 #define NO_THREAD_SAFETY_ANALYSIS \
   BUNDLER_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)
-
-namespace bundler {
-
-// Phantom capability naming a thread role ("the producer side of this ring",
-// "the worker that owns this shard"). It has no runtime state: Assert() is
-// how privileged code declares — checkably, at the call site — that the
-// structural ownership rules put it on the right thread. See the header
-// comment for the convention.
-class CAPABILITY("role") ThreadRole {
- public:
-  ThreadRole() = default;
-  ThreadRole(const ThreadRole&) = delete;
-  ThreadRole& operator=(const ThreadRole&) = delete;
-
-  // Declares that the calling code holds this role for the rest of the
-  // enclosing function. Zero-cost; exists purely for the analysis.
-  void Assert() const ASSERT_CAPABILITY(this) {}
-};
-
-}  // namespace bundler
 
 #endif  // SRC_UTIL_THREAD_ANNOTATIONS_H_

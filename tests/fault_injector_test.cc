@@ -5,25 +5,16 @@
 // surviving targeted packet while the slot is free), so the tests pin the
 // exact RNG contract that makes faulted runs reproducible. Plus: blackout
 // window edge semantics, bounded reorder displacement, passive construction,
-// profile-validation death tests, and the end-to-end guarantee that a faulted
-// topology produces identical results unsharded and sharded at any worker
-// count.
+// and profile-validation death tests.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/net/fault_injector.h"
 #include "src/net/node.h"
 #include "src/net/packet.h"
-#include "src/sim/shard_channel.h"
-#include "src/sim/shard_runner.h"
 #include "src/sim/simulator.h"
-#include "src/topo/dumbbell.h"
-#include "src/topo/net_builder.h"
-#include "src/topo/partition.h"
-#include "src/transport/tcp_flow.h"
 #include "src/util/random.h"
 
 namespace bundler {
@@ -268,114 +259,6 @@ TEST(FaultProfileDeathTest, InvalidProfilesDie) {
   spec.reorder_prob = 0.5;
   spec.reorder_depth = 99;
   EXPECT_DEATH(ValidateFaultProfile(spec, "t"), "reorder_depth");
-}
-
-// --- Sharded determinism -------------------------------------------------
-//
-// A faulted topology must produce identical results unsharded and sharded at
-// any worker count: the injector sits on a link's delivery chain, whose
-// arrival order is the repo-wide determinism contract. Uses the non-bundled
-// dumbbell (partitions into sender/receiver shards across the faulted
-// bottleneck) with burst loss + reordering active.
-
-struct ShardOutput {
-  std::vector<double> fct_ms;
-  FaultInjector::Stats stats;
-};
-
-FaultProfileSpec CrossShardProfile() {
-  FaultProfileSpec spec;
-  spec.ge_p_good_to_bad = 0.02;
-  spec.ge_p_bad_to_good = 0.25;
-  spec.ge_loss_good = 0.0;
-  spec.ge_loss_bad = 1.0;
-  spec.reorder_prob = 0.05;
-  spec.reorder_depth = 4;
-  spec.seed = 99;
-  return spec;
-}
-
-void ShardWorkload(Net* net, const DumbbellGraph& g, ShardOutput* out) {
-  Host* src = net->host(g.servers[0]);
-  Host* dst = net->host(g.clients[0]);
-  for (int i = 0; i < 16; ++i) {
-    TcpFlowParams params;
-    params.size_bytes = (16 + (i % 5) * 24) * 1024;
-    params.request_start = At(0.003 + 0.007 * i);
-    TcpSender* sender = CreateTcpFlow(
-        net->flows(), src, dst, params,
-        [out, start = params.request_start](TimePoint end) {
-          out->fct_ms.push_back((end - start).ToMillis());
-        });
-    src->sim()->ScheduleAt(params.request_start, [sender]() { sender->Start(); });
-  }
-}
-
-DumbbellConfig ShardDumbbellConfig() {
-  DumbbellConfig cfg;
-  cfg.bundler_enabled = false;
-  cfg.bottleneck_rate = Rate::Mbps(48);
-  cfg.rtt = TimeDelta::Millis(20);
-  return cfg;
-}
-
-ShardOutput RunFaultedUnsharded() {
-  ShardOutput out;
-  DumbbellGraph g;
-  NetBuilder b = DumbbellBuilder(ShardDumbbellConfig(), &g);
-  NetBuilder::FaultId fid = b.AddFaultProfile(g.bottleneck, CrossShardProfile());
-  Simulator sim;
-  std::unique_ptr<Net> net = b.Build(&sim);
-  ShardWorkload(net.get(), g, &out);
-  sim.RunUntil(At(4.0));
-  out.stats = net->fault_injector(fid)->stats();
-  return out;
-}
-
-ShardOutput RunFaultedSharded(int workers) {
-  ShardOutput out;
-  DumbbellGraph g;
-  NetBuilder b = DumbbellBuilder(ShardDumbbellConfig(), &g);
-  NetBuilder::FaultId fid = b.AddFaultProfile(g.bottleneck, CrossShardProfile());
-  const PartitionPlan plan = PartitionTopology(b);
-  EXPECT_EQ(plan.num_groups, 2);
-
-  std::vector<std::unique_ptr<Simulator>> sim_store;
-  std::vector<Simulator*> sims;
-  for (int i = 0; i < plan.num_groups; ++i) {
-    sim_store.push_back(std::make_unique<Simulator>());
-    sims.push_back(sim_store.back().get());
-  }
-  ShardChannelSet channels;
-  std::unique_ptr<Net> net = b.Build(plan, sims, &channels);
-  ShardWorkload(net.get(), g, &out);
-  ShardRunner::Options opt;
-  opt.workers = workers;
-  ShardRunner sr(sims, &channels, opt);
-  sr.RunUntil(At(4.0));
-  out.stats = net->fault_injector(fid)->stats();
-  return out;
-}
-
-void ExpectSameOutput(const ShardOutput& a, const ShardOutput& b) {
-  EXPECT_EQ(a.fct_ms, b.fct_ms);
-  EXPECT_EQ(a.stats.passed, b.stats.passed);
-  EXPECT_EQ(a.stats.drops_burst, b.stats.drops_burst);
-  EXPECT_EQ(a.stats.drops_random, b.stats.drops_random);
-  EXPECT_EQ(a.stats.held, b.stats.held);
-  EXPECT_EQ(a.stats.released_depth, b.stats.released_depth);
-  EXPECT_EQ(a.stats.released_flush, b.stats.released_flush);
-}
-
-TEST(FaultInjectorShardTest, FaultedRunIdenticalAcrossShardWorkers) {
-  ShardOutput unsharded = RunFaultedUnsharded();
-  ASSERT_GT(unsharded.fct_ms.size(), 0u);
-  ASSERT_GT(unsharded.stats.drops_burst, 0u);  // the fault actually fired
-  ASSERT_GT(unsharded.stats.held, 0u);
-  ShardOutput w1 = RunFaultedSharded(1);
-  ShardOutput w2 = RunFaultedSharded(2);
-  ExpectSameOutput(unsharded, w1);
-  ExpectSameOutput(unsharded, w2);
 }
 
 }  // namespace

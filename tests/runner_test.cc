@@ -362,6 +362,28 @@ TEST(BuiltinScenarioTest, FeedbackBlackoutTrialCarriesObsScalars) {
   FAIL() << "feedback_blackout has no bundler_watchdog variant";
 }
 
+// fat_tree_incast runs on one Simulator: every incast flow completes, both
+// halves of every completed flow (sender and receiver) retire into the
+// FlowTable, and the trial reports no shard count or shard-channel counters.
+TEST(BuiltinScenarioTest, FatTreeIncastRunsOnOneSimulator) {
+  RegisterBuiltinScenarios();
+  const Scenario* scenario = ScenarioRegistry::Global().Find("fat_tree_incast");
+  ASSERT_NE(scenario, nullptr);
+  std::vector<TrialPoint> plan = ExpandTrials(scenario->spec, /*trials=*/1);
+  ASSERT_EQ(plan.size(), 1u);
+  ASSERT_EQ(plan[0].seed, 1u);
+  TrialResult r = scenario->run(plan[0]);
+
+  EXPECT_EQ(r.scalars.at("flows_created"), 180.0);
+  EXPECT_EQ(r.scalars.at("flows_completed"), r.scalars.at("flows_created"));
+  EXPECT_EQ(r.scalars.at("flow.releases"), 2 * r.scalars.at("flows_created"));
+  EXPECT_EQ(r.scalars.at("sim.events_dispatched"), 393300.0);
+  EXPECT_EQ(r.scalars.count("shards"), 0u);
+  for (const auto& [key, value] : r.scalars) {
+    EXPECT_NE(key.rfind("ctr.shard.", 0), 0u) << key;
+  }
+}
+
 }  // namespace
 }  // namespace runner
 }  // namespace bundler

@@ -371,8 +371,8 @@ TEST(SimulatorTest, SteadyStateSchedulingDoesNotAllocate) {
       << "the schedule/cancel/dispatch hot path must not touch the heap";
 }
 
-// --- Batched same-timestamp dispatch (the parallel-DES hooks; see
-// EventQueue::StageBatch and Simulator::DispatchNextBatch) ---
+// --- Batched same-timestamp dispatch (EventQueue::StageBatch and
+// Simulator::DispatchNextBatch, the loop RunUntil/RunAll run) ---
 
 TEST(SimulatorBatchTest, DispatchNextBatchRunsOneTimestampInFifoOrder) {
   Simulator sim;
