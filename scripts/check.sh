@@ -85,6 +85,34 @@ cmp <(stable build/smoke_ft_t1/fat_tree_incast.json) \
 cmp <(stable build/smoke_ft_t1/fat_tree_incast.csv) \
     <(stable build/smoke_ft_t4/fat_tree_incast.csv)
 
+echo "--- determinism: fig07_multipath_observe at --threads 1 vs 4 must be byte-identical"
+./build/bundler_run --scenario fig07_multipath_observe --threads 1 \
+  --out build/smoke_mp_t1 --quiet > /dev/null
+./build/bundler_run --scenario fig07_multipath_observe --threads 4 \
+  --out build/smoke_mp_t4 --quiet > /dev/null
+cmp <(stable build/smoke_mp_t1/fig07_multipath_observe.json) \
+    <(stable build/smoke_mp_t4/fig07_multipath_observe.json)
+cmp <(stable build/smoke_mp_t1/fig07_multipath_observe.csv) \
+    <(stable build/smoke_mp_t4/fig07_multipath_observe.csv)
+
+echo "--- peak RSS: the runtime line measures bundler_run, not its launcher"
+# Launch from a python parent that first holds 150 MB resident: a high-water
+# mark inherited across exec would report at least that much.
+python3 - <<'EOF'
+import json, subprocess
+blob = bytes(range(256)) * (150 * 4096)  # 150 MB, every page written
+with open("/proc/self/status") as f:
+    rss_mb = next(int(l.split()[1]) for l in f if l.startswith("VmRSS:")) / 1024
+assert rss_mb >= 100, f"launcher holds only {rss_mb:.0f} MB"
+subprocess.run(["./build/bundler_run", "--scenario", "fat_tree_incast", "--trials", "1",
+                "--out", "build/smoke_rss", "--quiet"], check=True,
+               stdout=subprocess.DEVNULL)
+with open("build/smoke_rss/fat_tree_incast.json") as f:
+    peak = json.load(f)["runtime"]["peak_rss_mb"]
+assert 0 < peak < 100, f"peak_rss_mb {peak:.1f} under a {rss_mb:.0f} MB launcher"
+print(f"  peak_rss_mb {peak:.1f} under a {rss_mb:.0f} MB launcher")
+EOF
+
 echo "--- golden byte-identity: the sendbox must reproduce the pinned figures"
 # tests/golden/ holds fig09/fig10/fig13 outputs of the one sendbox data
 # plane (BundleController + SiteEgress + SendboxManager): same seeds, same

@@ -19,7 +19,7 @@
 
 namespace bundler {
 
-// A raw per-epoch sample, also surfaced to benches via the sample callback
+// A raw per-epoch sample, also surfaced to scenarios via the sample callback
 // (the Fig. 5/6 estimate-accuracy studies consume these).
 struct EpochSample {
   TimePoint now;

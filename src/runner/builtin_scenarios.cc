@@ -68,7 +68,12 @@ void RegisterBuiltinScenarios() {
     ScenarioRegistry* registry = &ScenarioRegistry::Global();
     RegisterFig02QueueShift(registry);
     RegisterFig05RateEstimate(registry);
+    RegisterFig07MultipathObserve(registry);
+    RegisterMultipathThreshold(registry);
     RegisterFig09Fct(registry);
+    RegisterFig14SendboxCc(registry);
+    RegisterSec74EndhostCc(registry);
+    RegisterSec72OtherPolicies(registry);
     RegisterFig10CrossTraffic(registry);
     RegisterFig11WebCrossSweep(registry);
     RegisterFig12ElasticCrossSweep(registry);

@@ -14,8 +14,6 @@
 #include <cstring>
 #include <string>
 
-#include <sys/resource.h>
-
 #include "src/obs/trace.h"
 #include "src/runner/builtin_scenarios.h"
 #include "src/runner/result_sink.h"
@@ -26,6 +24,25 @@
 namespace bundler {
 namespace runner {
 namespace {
+
+// This process's resident high-water mark (VmHWM), or 0 when unreadable.
+// Not getrusage's ru_maxrss: Linux carries that over from the launching
+// process across exec, so a large launcher would inflate it.
+double PeakRssMb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  char line[256];
+  double kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %lf kB", &kb) == 1) {
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb / 1024.0;
+}
 
 void PrintUsage(std::FILE* out) {
   std::fprintf(out,
@@ -259,10 +276,7 @@ int Main(int argc, char** argv) {
   summary.wall_seconds = wall_s;
   summary.events_dispatched = static_cast<uint64_t>(total_events);
   summary.events_per_sec = wall_s > 0 ? total_events / wall_s : 0;
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) {
-    summary.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
-  }
+  summary.peak_rss_mb = PeakRssMb();
 
   PrintSummary(summary);
 

@@ -150,33 +150,6 @@ ScenarioSummary Aggregate(const ScenarioSpec& spec, const std::vector<TrialPoint
   return summary;
 }
 
-const CellSummary* FindCell(const ScenarioSummary& summary, const std::string& variant,
-                            const std::vector<std::pair<std::string, double>>& params) {
-  for (const CellSummary& cell : summary.cells) {
-    if (cell.variant != variant) {
-      continue;
-    }
-    bool match = true;
-    for (const auto& [name, value] : params) {
-      bool found = false;
-      for (const auto& [cell_name, cell_value] : cell.params) {
-        if (cell_name == name) {
-          found = cell_value == value;
-          break;
-        }
-      }
-      if (!found) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      return &cell;
-    }
-  }
-  return nullptr;
-}
-
 std::string ToJson(const ScenarioSummary& summary) {
   std::string out;
   out += "{\n";

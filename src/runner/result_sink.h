@@ -66,18 +66,13 @@ struct ScenarioSummary {
   double wall_seconds = 0;
   uint64_t events_dispatched = 0;
   double events_per_sec = 0;
-  double peak_rss_mb = 0;  // process resident high-water mark (getrusage)
+  double peak_rss_mb = 0;  // process resident high-water mark (VmHWM)
 };
 
 // Groups `results` (ordered like `plan`) into cells and reduces them.
 // CHECK-fails if plan and results disagree in size.
 ScenarioSummary Aggregate(const ScenarioSpec& spec, const std::vector<TrialPoint>& plan,
                           const std::vector<TrialResult>& results);
-
-// Cell lookup by variant and (optionally) sweep params; nullptr if absent.
-const CellSummary* FindCell(
-    const ScenarioSummary& summary, const std::string& variant,
-    const std::vector<std::pair<std::string, double>>& params = {});
 
 // Deterministic serializations: map iteration is ordered and doubles are
 // printed with a fixed "%.12g" format, so equal inputs give equal bytes.

@@ -1,15 +1,14 @@
-// Figure 5 as a registered scenario: accuracy of Bundler's receive-rate
-// estimate. The paper's claim is that 80% of receive-rate estimates fall
-// within 4 Mbit/s of the value measured at the bottleneck router, across
+// Figures 5 and 6 as one registered scenario: accuracy of Bundler's
+// receive-rate and RTT estimates. The paper's claims are that 80% of
+// receive-rate estimates fall within 4 Mbit/s, and 80% of RTT estimates
+// within 1.2 ms, of the value measured at the bottleneck router, across
 // traces spanning link delays {20, 50, 100 ms} and rates {24, 48, 96 Mbit/s}.
 // Each (delay_ms, rate_mbps) sweep cell runs the §7.1-style web workload at
-// 87.5% of capacity and compares every in-order epoch sample's receive-rate
-// estimate against the bottleneck rate meter read one reverse propagation
-// earlier (when the feedback that produced the sample actually left the
-// bottleneck). Registered so bench/fig05_rate_estimate.cc is a thin wrapper
-// (continuing the PR 6 fig02 pattern); fig06 keeps the standalone
-// bench/estimate_sweep.h driver because it also reports RTT accuracy and the
-// example trace segment.
+// 87.5% of capacity and compares every in-order epoch sample's estimates
+// against the bottleneck's rate meter and queue-delay monitor read one
+// reverse propagation earlier (when the feedback that produced the sample
+// actually left the bottleneck). The estimate time series itself is in the
+// sendbox trace (`--trace sendbox`, epoch records).
 #include <vector>
 
 #include "src/app/workload.h"
@@ -50,28 +49,33 @@ TrialResult RunTrial(const TrialPoint& point) {
                               point.seed, &fct);
 
   // Collect every in-order epoch sample after warmup; ground truth is read
-  // from the bottleneck rate meter after the run, at the instant the sample's
+  // from the bottleneck monitors after the run, at the instant the sample's
   // feedback left the bottleneck (one reverse propagation before arrival).
   struct RawSample {
     TimePoint t;
+    double rtt_ms;
     double rate_mbps;
+    bool has_rates;
   };
   std::vector<RawSample> raw;
   const TimePoint warmup = TimePoint::Zero() + TimeDelta::SecondsF(kWarmupSec);
   MeasurementEngine& meas = net.net()->bundle_controller(0)->measurement();
   meas.SetSampleCallback([&](const EpochSample& s) {
-    if (!s.in_order || !s.has_rates || s.now < warmup) {
+    if (!s.in_order || s.now < warmup) {
       return;
     }
-    raw.push_back({s.now, s.recv_rate.Mbps()});
+    raw.push_back({s.now, s.rtt.ToMillis(), s.recv_rate.Mbps(), s.has_rates});
   });
 
   sim.RunUntil(TimePoint::Zero() + TimeDelta::SecondsF(kDurationSec));
 
   QuantileEstimator diff;
+  QuantileEstimator rtt_diff;
   for (const RawSample& s : raw) {
     TimePoint transit = s.t - delay / 2;
-    double actual = net.bundle_rate_meter()->RateMbpsAt(transit);
+    // Actual RTT: propagation plus the queueing delay seen at the bottleneck.
+    rtt_diff.Add(s.rtt_ms - (delay.ToMillis() + net.bottleneck_delay()->DelayMsAt(transit)));
+    double actual = s.has_rates ? net.bundle_rate_meter()->RateMbpsAt(transit) : 0.0;
     if (actual > 0) {
       diff.Add(s.rate_mbps - actual);
     }
@@ -82,6 +86,11 @@ TrialResult RunTrial(const TrialPoint& point) {
   r.scalars["rate_within_4_frac"] = diff.empty() ? 0.0 : diff.FractionWithinAbs(4.0);
   r.scalars["rate_diff_p50_mbps"] = diff.empty() ? 0.0 : diff.Median();
   r.scalars["rate_samples"] = static_cast<double>(diff.count());
+  r.samples["rtt_diff_ms"] = rtt_diff.samples();
+  r.scalars["rtt_within_1p2_frac"] =
+      rtt_diff.empty() ? 0.0 : rtt_diff.FractionWithinAbs(1.2);
+  r.scalars["rtt_diff_p50_ms"] = rtt_diff.empty() ? 0.0 : rtt_diff.Median();
+  r.scalars["rtt_samples"] = static_cast<double>(rtt_diff.count());
   EndTrialObs(&sim, point, &r);
   return r;
 }
@@ -92,8 +101,9 @@ void RegisterFig05RateEstimate(ScenarioRegistry* registry) {
   ScenarioSpec spec;
   spec.name = "fig05_rate_estimate";
   spec.summary =
-      "Fig 5: receive-rate estimate accuracy vs. bottleneck ground truth "
-      "across a delay x rate grid (paper: 80% within 4 Mbit/s)";
+      "Figs 5-6: receive-rate and RTT estimate accuracy vs. bottleneck ground "
+      "truth across a delay x rate grid (paper: 80% within 4 Mbit/s and 80% "
+      "within 1.2 ms)";
   spec.variants = {"bundler"};
   spec.axes = {{"delay_ms", {20, 50, 100}}, {"rate_mbps", {24, 48, 96}}};
   spec.default_trials = 2;

@@ -17,12 +17,16 @@ namespace bundler {
 namespace runner {
 namespace {
 
+// Total offered load split across the two bundles; `load0_mbps` is bundle 0's
+// share.
+constexpr double kAggregateLoadMbps = 84;
+
 TrialResult RunTrial(const TrialPoint& point) {
   bool bundler_on = point.variant == "bundler";
   BUNDLER_CHECK_MSG(bundler_on || point.variant == "status_quo",
                     "unknown fig13 variant '%s'", point.variant.c_str());
   double load0 = point.Param("load0_mbps");
-  double load1 = kFig13AggregateLoadMbps - load0;
+  double load1 = kAggregateLoadMbps - load0;
 
   ExperimentConfig cfg = PaperExperimentDefaults(bundler_on, point.seed);
   cfg.net.num_bundles = 2;

@@ -12,7 +12,7 @@
 //
 // Since PR 3 this is a preset over the composable NetBuilder
 // (topo/net_builder.h): DumbbellBuilder() declares the graph, Dumbbell wraps
-// the built Net behind the accessors the benches and tests grew up with.
+// the built Net behind the accessors the scenarios and tests grew up with.
 #ifndef SRC_TOPO_DUMBBELL_H_
 #define SRC_TOPO_DUMBBELL_H_
 

@@ -1,4 +1,4 @@
-// Experiment glue shared by benches, examples, and integration tests: a
+// Experiment glue shared by scenarios, examples, and integration tests: a
 // self-contained run (simulator + dumbbell + workloads + FCT recording) and
 // the unloaded-network ideal FCT cache that slowdown metrics divide by.
 #ifndef SRC_TOPO_SCENARIO_H_

@@ -34,7 +34,7 @@ class UdpPingPongClient : public PacketHandler {
   const QuantileEstimator& rtt_ms() const { return rtt_ms_; }
   uint64_t completed() const { return completed_; }
   uint64_t timeouts() const { return timeouts_; }
-  // Restrict recording to [from, to) — lets benches measure specific phases.
+  // Restrict recording to [from, to) — lets scenarios measure specific phases.
   void SetRecordingWindow(TimePoint from, TimePoint to);
 
  private:

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/runner/builtin_scenarios.h"
@@ -213,7 +214,7 @@ TEST(AggregateTest, SamplePoolingAndPercentiles) {
   EXPECT_DOUBLE_EQ(s.p99, 99.01);
 }
 
-TEST(AggregateTest, CellsFollowPlanOrderAndFindCell) {
+TEST(AggregateTest, CellsFollowPlanOrder) {
   ScenarioSpec spec = TwoAxisSpec();
   std::vector<TrialPoint> plan = ExpandTrials(spec, 0);
   std::vector<TrialResult> results(plan.size());
@@ -227,12 +228,11 @@ TEST(AggregateTest, CellsFollowPlanOrderAndFindCell) {
   for (const CellSummary& cell : summary.cells) {
     EXPECT_EQ(cell.trials, 2u);
   }
-  const CellSummary* cell = FindCell(summary, "y", {{"a", 2}, {"b", 30}});
-  ASSERT_NE(cell, nullptr);
   // Last cell of the plan: trials 22 and 23.
-  EXPECT_DOUBLE_EQ(cell->scalars.at("idx").mean, 22.5);
-  EXPECT_EQ(FindCell(summary, "nope"), nullptr);
-  EXPECT_EQ(FindCell(summary, "y", {{"a", 99}}), nullptr);
+  const CellSummary& last = summary.cells.back();
+  EXPECT_EQ(last.variant, "y");
+  EXPECT_EQ(last.params, (std::vector<std::pair<std::string, double>>{{"a", 2}, {"b", 30}}));
+  EXPECT_DOUBLE_EQ(last.scalars.at("idx").mean, 22.5);
 }
 
 TEST(ResultSinkTest, JsonHandlesNonFiniteAndEmpty) {
@@ -317,6 +317,55 @@ TEST(RegistryTest, SweepScenariosRegisteredWithAxes) {
             (std::vector<double>{10, 30, 50}));
 }
 
+// Every paper figure runs through the registry; these are the ones that used
+// to be standalone programs.
+TEST(RegistryTest, PortedFigureScenariosRegisteredWithVariantsAndAxes) {
+  RegisterBuiltinScenarios();
+  ScenarioRegistry& registry = ScenarioRegistry::Global();
+  using Axes = std::vector<std::pair<std::string, std::vector<double>>>;
+  auto axes_of = [](const Scenario* s) {
+    Axes axes;
+    for (const SweepAxis& a : s->spec.axes) {
+      axes.emplace_back(a.name, a.values);
+    }
+    return axes;
+  };
+  struct Expected {
+    const char* name;
+    std::vector<std::string> variants;
+    Axes axes;
+  };
+  const Expected expected[] = {
+      {"fig05_rate_estimate",
+       {"bundler"},
+       {{"delay_ms", {20, 50, 100}}, {"rate_mbps", {24, 48, 96}}}},
+      {"fig07_multipath_observe",
+       {"bundler"},
+       {{"bw_mbps", {96}}, {"rtt_ms", {40}}, {"paths", {4}}}},
+      {"multipath_threshold",
+       {"bundler"},
+       {{"bw_mbps", {24, 96}}, {"rtt_ms", {20, 100, 300}}, {"paths", {1, 2, 4, 8, 32}}}},
+      {"fig14_sendbox_cc",
+       {"status_quo", "bundler_copa", "bundler_basic_delay", "bundler_bbr"},
+       {}},
+      {"sec74_endhost_cc",
+       {"cubic_status_quo", "cubic_bundler", "reno_status_quo", "reno_bundler",
+        "bbr_status_quo", "bbr_bundler"},
+       {}},
+      {"sec72_other_policies",
+       {"pingpong_status_quo", "pingpong_bundler_fq_codel", "prio_status_quo",
+        "prio_bundler"},
+       {}},
+  };
+  for (const Expected& e : expected) {
+    const Scenario* s = registry.Find(e.name);
+    ASSERT_NE(s, nullptr) << e.name;
+    EXPECT_EQ(s->spec.variants, e.variants) << e.name;
+    EXPECT_EQ(axes_of(s), e.axes) << e.name;
+    EXPECT_NE(s->topology, nullptr) << e.name;
+  }
+}
+
 // Full-figure regression: the fig09 scenario at seed 1 must serialize to the
 // same bytes whether its trials run serially or on four workers. This is the
 // event engine's determinism contract end to end — FIFO tiebreaks, pooled
@@ -360,6 +409,20 @@ TEST(BuiltinScenarioTest, FeedbackBlackoutTrialCarriesObsScalars) {
     return;
   }
   FAIL() << "feedback_blackout has no bundler_watchdog variant";
+}
+
+// Fig. 7's point: RTT-imbalanced paths show up as out-of-order feedback well
+// above the 5% multipath threshold, and the observed RTTs span the paths.
+TEST(BuiltinScenarioTest, Fig07TrialSeesMultipath) {
+  RegisterBuiltinScenarios();
+  const Scenario* scenario = ScenarioRegistry::Global().Find("fig07_multipath_observe");
+  ASSERT_NE(scenario, nullptr);
+  std::vector<TrialPoint> plan = ExpandTrials(scenario->spec, /*trials=*/1);
+  ASSERT_EQ(plan.size(), 1u);
+  TrialResult r = scenario->run(plan[0]);
+  EXPECT_GT(r.scalars.at("ooo_frac"), 0.05);
+  EXPECT_GE(r.scalars.at("rtt_p05_ms"), 40.0);
+  EXPECT_GT(r.scalars.at("rtt_p95_ms"), 2 * r.scalars.at("rtt_p05_ms"));
 }
 
 // fat_tree_incast runs on one Simulator: every incast flow completes, both
