@@ -219,15 +219,15 @@ BenchResult BenchQdiscChurn(const std::string& name, MakeQdisc make) {
 // The acceptance microbenchmark: steady-state schedule+dispatch churn over a
 // 4096-deep pending set, mirroring what the Simulator does per event — one
 // schedule, then an Empty/NextTime/PopNext dispatch round. The capture is
-// sized like the datapath's dominant event (a Link transmit/propagation
-// event carrying a Packet, 176 bytes, plus the owner pointer) — far beyond
-// std::function's inline buffer, so the legacy queue allocates per schedule
-// exactly as it did in the real simulator.
+// sized like the largest event capture in the tree (32 bytes, the inline
+// slot's capacity; Link events capture only `this`) — still beyond
+// std::function's 16-byte inline buffer, so the legacy queue allocates per
+// schedule exactly as it did in the real simulator.
 struct ChurnPayload {
-  uint64_t words[22];  // sizeof(Packet) stand-in
+  uint64_t words[3];
   uint64_t* sink;
 };
-static_assert(sizeof(ChurnPayload) == 184);
+static_assert(sizeof(ChurnPayload) == 32);
 
 template <typename Queue>
 BenchResult BenchScheduleDispatch(const std::string& name) {
@@ -435,48 +435,6 @@ BenchResult BenchSiteEgressChurn() {
   });
 }
 
-// Batched same-timestamp dispatch vs one-at-a-time head pops over the same
-// workload: each op pushes a 64-event burst at one instant and drains it.
-// StageBatch extracts the whole same-time fragment in one DFS (every hole
-// descent starts below the root), where repeated PopNext pays a full
-// root-to-leaf sift per event. The speedup between these two rows is the
-// batching win scripts/bench.sh gates (same_time_burst_speedup).
-template <bool kBatched>
-BenchResult BenchSameTimeBurst(const std::string& name) {
-  EventQueue q;
-  static uint64_t ticks = 0;
-  constexpr int kBurst = 64;
-  TimePoint base;
-  // A deep resident backlog of future events, like a loaded simulation: every
-  // serial PopNext must sift the hole from the root through this heap, while
-  // StageBatch removes the same-time fragment deepest-position-first.
-  for (int i = 0; i < 8192; ++i) {
-    (void)q.Push(base + TimeDelta::Seconds(1000) + TimeDelta::Micros(i),
-                 []() { ++ticks; });
-  }
-  int64_t round = 0;
-  BenchResult r = Measure(name, 1 << 12, 1 << 17, [&](uint64_t) {
-    const TimePoint t = base + TimeDelta::Micros(++round);
-    for (int k = 0; k < kBurst; ++k) {
-      (void)q.Push(t, []() { ++ticks; });
-    }
-    if (kBatched) {
-      const size_t n = q.StageBatch(t);
-      for (size_t k = 0; k < n; ++k) {
-        (void)q.DispatchStaged(k);
-      }
-      q.FinishBatch(n);
-    } else {
-      for (int k = 0; k < kBurst; ++k) {
-        TimePoint out;
-        q.PopNext(&out)();
-      }
-    }
-  });
-  g_sink = g_sink + ticks;
-  return r;
-}
-
 // FlowTable arena reclamation in steady state: a 256-flow working set where
 // each op retires the oldest object and emplaces a replacement — the deferred
 // destroy, swap-remove, header fixup, and free-list push/pop cycle every
@@ -648,14 +606,13 @@ BenchResult BenchEndToEndExperimentTraced(double* records_per_event_out) {
 
 void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
                double speedup, double records_per_event, double disabled_overhead,
-               double burst_speedup, double fault_overhead) {
+               double fault_overhead) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     std::exit(1);
   }
   std::fprintf(f, "{\n  \"schedule_dispatch_speedup_vs_legacy\": %.3f,\n", speedup);
-  std::fprintf(f, "  \"same_time_burst_speedup\": %.3f,\n", burst_speedup);
   std::fprintf(f, "  \"trace_records_per_event\": %.4f,\n", records_per_event);
   std::fprintf(f, "  \"tracing_disabled_overhead_frac\": %.6f,\n", disabled_overhead);
   std::fprintf(f, "  \"fault_disabled_overhead_frac\": %.6f,\n", fault_overhead);
@@ -703,12 +660,6 @@ int Run(const std::string& json_path) {
       BenchScheduleCancel<LegacyFunctionQueue>("legacy_function_queue_schedule_cancel"));
   results.push_back(BenchScheduleCancel<EventQueue>("engine_schedule_cancel"));
   results.push_back(BenchPeriodicDispatch());
-  BenchResult burst_serial =
-      BenchSameTimeBurst<false>("same_time_burst_serial");
-  BenchResult burst_batched =
-      BenchSameTimeBurst<true>("same_time_burst_dispatch");
-  results.push_back(burst_serial);
-  results.push_back(burst_batched);
   results.push_back(BenchTcpRecoveryChurn());
   results.push_back(BenchLinkEventRearmChurn());
   results.push_back(BenchFlowReclaimChurn());
@@ -747,10 +698,6 @@ int Run(const std::string& json_path) {
               "(%.2fx events/sec), %.4f vs %.4f allocs/op\n",
               engine.ns_per_op, legacy.ns_per_op, speedup, engine.allocs_per_op,
               legacy.allocs_per_op);
-  double burst_speedup = burst_batched.ops_per_sec / burst_serial.ops_per_sec;
-  std::printf("same-time burst: batched %.1f ns/burst vs serial %.1f ns/burst "
-              "(%.2fx)\n",
-              burst_batched.ns_per_op, burst_serial.ns_per_op, burst_speedup);
   std::printf("tracing: %.2f records/event when fully armed; disabled-hook "
               "overhead bound %.4f%% of end-to-end run\n",
               records_per_event, disabled_overhead * 100);
@@ -760,7 +707,7 @@ int Run(const std::string& json_path) {
 
   if (!json_path.empty()) {
     WriteJson(json_path, results, speedup, records_per_event, disabled_overhead,
-              burst_speedup, fault_overhead);
+              fault_overhead);
   }
   // The engine must not allocate per scheduled event in steady state.
   if (engine.allocs_per_op != 0.0) {

@@ -86,11 +86,6 @@ void Link::HandlePacket(Packet pkt) {
                           static_cast<uint64_t>(queue_->bytes()),
                           static_cast<uint64_t>(queue_->packets()));
     }
-    // The packet was consumed by the qdisc; observers only need identity
-    // information, which enqueue-time drops report via the qdisc's counters.
-    // Re-create a minimal view is not possible here, so drop notification for
-    // enqueue drops is handled by qdiscs that keep the packet; droptail drops
-    // are counted in stats only.
     MaybeStartTransmission();
     return;
   }
@@ -119,21 +114,50 @@ void Link::MaybeStartTransmission() {
   }
   TimeDelta tx = rate_.TransmitTime(pkt->size_bytes);
   BUNDLER_CHECK(!tx.IsInfinite());
-  // The in-flight packet rides inside the event's inline storage (sized for
-  // exactly this: a Packet plus the owning pointer), so per-hop scheduling
-  // does not allocate.
-  sim_->Schedule(tx, [this, p = std::move(*pkt)]() mutable { OnTransmitDone(std::move(p)); });
+  tx_pkt_ = std::move(*pkt);
+  sim_->Schedule(tx, [this]() { OnTransmitDone(); });
 }
 
-void Link::OnTransmitDone(Packet pkt) {
+void Link::OnTransmitDone() {
   ++stats_.packets_sent;
-  stats_.bytes_sent += pkt.size_bytes;
+  stats_.bytes_sent += tx_pkt_.size_bytes;
   busy_ = false;
-  PacketHandler* dst = dst_;
-  sim_->Schedule(prop_delay_, [dst, p = std::move(pkt)]() mutable {
-    dst->HandlePacket(std::move(p));
-  });
+  Launch(sim_->now() + prop_delay_, std::move(tx_pkt_));
   MaybeStartTransmission();
+}
+
+void Link::Launch(TimePoint arrival, Packet pkt) {
+  // The ticket is taken as the packet leaves the serializer, so its delivery
+  // keeps the FIFO position an event scheduled right now would have.
+  wire_.push_back(WireEntry{arrival, sim_->ReserveSeq(), std::move(pkt)});
+  // After a set_prop_delay decrease a packet can overtake bits still in
+  // flight: sift it forward to its (arrival, ticket) position. Its ticket is
+  // the newest, so it stays behind entries arriving at the same instant.
+  size_t pos = wire_.size() - 1;
+  while (pos > 0 && wire_[pos - 1].arrival > arrival) {
+    std::swap(wire_[pos - 1], wire_[pos]);
+    --pos;
+  }
+  if (pos != 0) {
+    return;  // the pending delivery still belongs to the head
+  }
+  if (wire_.size() > 1) {
+    sim_->Cancel(delivery_);  // the head changed: re-arm for the new one
+  }
+  ArmDelivery();
+}
+
+void Link::ArmDelivery() {
+  const WireEntry& head = wire_.front();
+  delivery_ = sim_->ScheduleAt(head.arrival, head.ticket, [this]() { DeliverHead(); });
+}
+
+void Link::DeliverHead() {
+  WireEntry head = wire_.pop_front();
+  if (!wire_.empty()) {
+    ArmDelivery();
+  }
+  dst_->HandlePacket(std::move(head.pkt));
 }
 
 }  // namespace bundler

@@ -12,6 +12,13 @@
 //    transmission; parked sojourn counts toward queue delay.
 //  - set_prop_delay applies to packets finishing serialization from now on;
 //    bits already propagating keep the delay they departed with.
+//
+// Event footprint: the packet being serialized lives in the link, so its
+// transmit-done event captures only `this`. Propagating packets wait on a
+// wire ring ordered by (arrival, ticket); each reserves its FIFO ticket when
+// it leaves the serializer, and the link keeps one pending delivery event for
+// the ring's head (see Simulator::ReserveSeq). Delivery order is what one
+// event per packet would give, with one heap entry per link.
 #ifndef SRC_NET_LINK_H_
 #define SRC_NET_LINK_H_
 
@@ -23,6 +30,7 @@
 #include "src/qdisc/qdisc.h"
 #include "src/sim/simulator.h"
 #include "src/util/rate.h"
+#include "src/util/ring_buffer.h"
 
 namespace bundler {
 
@@ -33,7 +41,6 @@ class LinkObserver {
   // Fired when a packet begins serialization; `queue_delay` is its sojourn in
   // the egress queue.
   virtual void OnDequeue(const Packet& pkt, TimeDelta queue_delay, TimePoint now) = 0;
-  virtual void OnDrop(const Packet& pkt, TimePoint now) = 0;
 };
 
 struct LinkStats {
@@ -71,8 +78,19 @@ class Link : public PacketHandler {
   void set_dst(PacketHandler* dst) { dst_ = dst; }
 
  private:
+  // A packet propagating toward dst_.
+  struct WireEntry {
+    TimePoint arrival;
+    EventTicket ticket;
+    Packet pkt;
+  };
+
   void MaybeStartTransmission();
-  void OnTransmitDone(Packet pkt);
+  void OnTransmitDone();
+  // Puts the serialized packet on the wire, in arrival order.
+  void Launch(TimePoint arrival, Packet pkt);
+  void ArmDelivery();
+  void DeliverHead();
   bool tracer_enabled(obs::TraceCat cat) const { return sim_->trace().enabled(cat); }
 
   Simulator* sim_;
@@ -88,6 +106,9 @@ class Link : public PacketHandler {
   uint64_t* ctr_parks_ = nullptr;
   uint64_t* ctr_unparks_ = nullptr;
   bool busy_ = false;
+  Packet tx_pkt_;  // being serialized while busy_
+  RingBuffer<WireEntry> wire_;
+  EventId delivery_ = kInvalidEventId;  // pending delivery of wire_.front()
   // Cached "rate cannot serialize an MTU" verdict: recomputed only on
   // set_rate, so the per-packet transmission path stays integer-only.
   bool parked_ = false;

@@ -23,8 +23,10 @@
 // crowd to tenant 0's own queues (ratio stays ~1); status quo, the flash
 // overloads the shared FIFO uplink and every tenant's FCT inflates.
 //
-// All flows are created up front with deferred starts on one Simulator, so
-// output is byte-identical for any --threads value.
+// Each bundle's request schedule is drawn up front into an EventStream, which
+// keeps one pending arrival per bundle and creates each flow at its start
+// time; completed flows retire. Everything runs on one Simulator, so output
+// is byte-identical for any --threads value.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -32,6 +34,7 @@
 
 #include "src/runner/builtin_scenarios.h"
 #include "src/runner/trial_obs.h"
+#include "src/sim/event_stream.h"
 #include "src/transport/tcp_flow.h"
 #include "src/util/check.h"
 #include "src/util/stats.h"
@@ -151,6 +154,38 @@ struct TenantFcts {
   QuantileEstimator flash;
 };
 
+// What the trial's flows report into.
+struct Tally {
+  std::vector<TenantFcts> per_tenant = std::vector<TenantFcts>(kNumTenants);
+  QuantileEstimator agg_fct;
+  uint64_t flows_created = 0;
+  uint64_t flows_completed = 0;
+};
+
+// Creates and starts a request flow of `size_bytes` now, its start time. The
+// completion callback files its FCT in the tenant's `bucket` by the window of
+// the start time.
+void StartRequest(FlowTable* flows, Host* src, Host* dst, int64_t size_bytes,
+                  TenantFcts* bucket, Tally* tally) {
+  const TimePoint start = src->sim()->now();
+  TcpFlowParams params;
+  params.size_bytes = size_bytes;
+  params.request_start = start;
+  CreateTcpFlow(flows, src, dst, params, [bucket, tally, start](TimePoint end) {
+    const TimePoint zero = TimePoint::Zero();
+    const double ms = (end - start).ToMillis();
+    ++tally->flows_completed;
+    if (start >= zero + kBaseWindowStart && start < zero + kFlashWindowStart) {
+      bucket->base.Add(ms);
+      tally->agg_fct.Add(ms);
+    } else if (start < zero + kFlashWindowEnd) {
+      bucket->flash.Add(ms);
+      tally->agg_fct.Add(ms);
+    }
+  })->Start();
+  ++tally->flows_created;
+}
+
 TrialResult RunTrial(const TrialPoint& point) {
   const bool managed = point.variant == "managed";
   BUNDLER_CHECK_MSG(managed || point.variant == "status_quo",
@@ -173,16 +208,22 @@ TrialResult RunTrial(const TrialPoint& point) {
     return rng >> 33;
   };
 
-  std::vector<TenantFcts> per_tenant(kNumTenants);
-  QuantileEstimator agg_fct;
-  uint64_t flows_created = 0, flows_completed = 0;
-
+  Tally tally;
   const TimePoint zero = TimePoint::Zero();
+  FlowTable* flows = net->flows();
   Host* src = net->host(g.edge);
+  // One request schedule per bundle; an entry is the request's size.
+  std::vector<std::unique_ptr<EventStream<int64_t>>> arrivals;
+  arrivals.reserve(kNumBundles);
   for (int i = 0; i < kNumBundles; ++i) {
     const int tenant = i / kClassesPerTenant;
     const int klass = i % kClassesPerTenant;
     Host* dst = net->host(g.dst[i]);
+    TenantFcts* bucket = &tally.per_tenant[static_cast<size_t>(tenant)];
+    arrivals.push_back(std::make_unique<EventStream<int64_t>>(
+        &sim, [flows, src, dst, bucket, &tally](const int64_t& size) {
+          StartRequest(flows, src, dst, size, bucket, &tally);
+        }));
     const TimeDelta period = tenant == 0 ? kWhalePeriod : kVictimPeriod;
     // Stagger bundle start phases across one period.
     TimePoint cursor =
@@ -198,28 +239,7 @@ TrialResult RunTrial(const TrialPoint& point) {
         size *= 10;
       }
       size += static_cast<int64_t>(draw() % 600) * size / 2000 - size * 3 / 20;
-
-      TcpFlowParams params;
-      params.size_bytes = size;
-      params.request_start = cursor;
-      TenantFcts* bucket = &per_tenant[static_cast<size_t>(tenant)];
-      const TimePoint start = cursor;
-      TcpSender* sender = CreateTcpFlow(
-          net->flows(), src, dst, params,
-          [bucket, &agg_fct, &flows_completed, zero, start](TimePoint end) {
-            const double ms = (end - start).ToMillis();
-            ++flows_completed;
-            if (start >= zero + kBaseWindowStart &&
-                start < zero + kFlashWindowStart) {
-              bucket->base.Add(ms);
-              agg_fct.Add(ms);
-            } else if (start < zero + kFlashWindowEnd) {
-              bucket->flash.Add(ms);
-              agg_fct.Add(ms);
-            }
-          });
-      src->sim()->ScheduleAt(start, [sender]() { sender->Start(); });
-      ++flows_created;
+      arrivals.back()->Add(cursor, size);
 
       const TimeDelta step = flash ? period / kFlashMultiplier : period;
       // +/-15% arrival jitter keeps waves from locking step.
@@ -239,7 +259,7 @@ TrialResult RunTrial(const TrialPoint& point) {
   double iso_max = 0.0;
   QuantileEstimator victim_base, victim_flash, rejected_base, rejected_flash;
   for (int t = 1; t < kNumTenants; ++t) {
-    const TenantFcts& f = per_tenant[static_cast<size_t>(t)];
+    const TenantFcts& f = tally.per_tenant[static_cast<size_t>(t)];
     QuantileEstimator* base_pool =
         t < first_rejected_tenant ? &victim_base : &rejected_base;
     QuantileEstimator* flash_pool =
@@ -254,7 +274,7 @@ TrialResult RunTrial(const TrialPoint& point) {
       iso_max = std::max(iso_max, f.flash.Median() / f.base.Median());
     }
   }
-  r.samples["agg_fct_ms"] = agg_fct.samples();
+  r.samples["agg_fct_ms"] = tally.agg_fct.samples();
   r.scalars["victim_iso_p50_ratio_max"] = iso_max;
   r.scalars["victim_fct_ms_p50_base"] =
       victim_base.empty() ? 0.0 : victim_base.Median();
@@ -265,13 +285,13 @@ TrialResult RunTrial(const TrialPoint& point) {
   r.scalars["rejected_fct_ms_p50_flash"] =
       rejected_flash.empty() ? 0.0 : rejected_flash.Median();
   r.scalars["tenant0_fct_ms_p50_base"] =
-      per_tenant[0].base.empty() ? 0.0 : per_tenant[0].base.Median();
+      tally.per_tenant[0].base.empty() ? 0.0 : tally.per_tenant[0].base.Median();
   r.scalars["tenant0_fct_ms_p50_flash"] =
-      per_tenant[0].flash.empty() ? 0.0 : per_tenant[0].flash.Median();
-  r.scalars["agg_fct_ms_p50"] = agg_fct.empty() ? 0.0 : agg_fct.Median();
-  r.scalars["agg_fct_ms_p99"] = agg_fct.empty() ? 0.0 : agg_fct.Quantile(0.99);
-  r.scalars["flows_created"] = static_cast<double>(flows_created);
-  r.scalars["flows_completed"] = static_cast<double>(flows_completed);
+      tally.per_tenant[0].flash.empty() ? 0.0 : tally.per_tenant[0].flash.Median();
+  r.scalars["agg_fct_ms_p50"] = tally.agg_fct.empty() ? 0.0 : tally.agg_fct.Median();
+  r.scalars["agg_fct_ms_p99"] = tally.agg_fct.empty() ? 0.0 : tally.agg_fct.Quantile(0.99);
+  r.scalars["flows_created"] = static_cast<double>(tally.flows_created);
+  r.scalars["flows_completed"] = static_cast<double>(tally.flows_completed);
   if (managed) {
     SendboxManager* mgr = net->manager(g.edge);
     r.scalars["admitted"] = static_cast<double>(mgr->admitted_count());

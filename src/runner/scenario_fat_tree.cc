@@ -3,15 +3,18 @@
 //
 // Workload: every host on leaves 1..L-1 fires size-fixed flows at leaf 0's
 // hosts (round-robin) in periodic waves with seeded per-flow start jitter —
-// a classic incast onto leaf 0's downlinks. All flows are created up front
-// with deferred starts. Completed senders and receivers retire into the
-// FlowTable (reported as flow.releases) and their blocks are recycled.
+// a classic incast onto leaf 0's downlinks. Each source's flow schedule is
+// drawn up front into an EventStream, which keeps one pending start per source
+// and creates each flow at its start time. Completed senders and receivers
+// retire into the FlowTable (reported as flow.releases) and their blocks are
+// recycled.
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/runner/builtin_scenarios.h"
 #include "src/runner/trial_obs.h"
+#include "src/sim/event_stream.h"
 #include "src/topo/fat_tree.h"
 #include "src/transport/tcp_flow.h"
 #include "src/util/stats.h"
@@ -47,25 +50,30 @@ TrialResult RunTrial(const TrialPoint& point) {
   };
 
   std::vector<double> fct_ms;
+  FlowTable* flows = net->flows();
+  // One start schedule per source host; an entry names the flow's receiver.
+  std::vector<std::unique_ptr<EventStream<Host*>>> sources;
+  for (int l = 1; l < cfg.num_leaves; ++l) {
+    for (int h = 0; h < cfg.hosts_per_leaf; ++h) {
+      Host* src = net->host(g.hosts[static_cast<size_t>(l)][static_cast<size_t>(h)]);
+      sources.push_back(std::make_unique<EventStream<Host*>>(
+          &sim, [flows, src, &fct_ms](Host* const& dst) {
+            const TimePoint start = src->sim()->now();
+            TcpFlowParams params;
+            params.size_bytes = kFlowBytes;
+            params.request_start = start;
+            CreateTcpFlow(flows, src, dst, params, [&fct_ms, start](TimePoint end) {
+              fct_ms.push_back((end - start).ToMillis());
+            })->Start();
+          }));
+    }
+  }
   int rr = 0;
   for (int w = 0; w < kWaves; ++w) {
     const TimePoint base = TimePoint::Zero() + kWavePeriod * w + TimeDelta::Millis(5);
-    for (int l = 1; l < cfg.num_leaves; ++l) {
-      for (int h = 0; h < cfg.hosts_per_leaf; ++h) {
-        Host* src = net->host(g.hosts[static_cast<size_t>(l)][static_cast<size_t>(h)]);
-        Host* dst = net->host(
-            g.hosts[0][static_cast<size_t>(rr++ % cfg.hosts_per_leaf)]);
-        const TimePoint start = base + jitter();
-        TcpFlowParams params;
-        params.size_bytes = kFlowBytes;
-        params.request_start = start;
-        TcpSender* sender =
-            CreateTcpFlow(net->flows(), src, dst, params,
-                          [&fct_ms, start](TimePoint end) {
-                            fct_ms.push_back((end - start).ToMillis());
-                          });
-        sim.ScheduleAt(start, [sender]() { sender->Start(); });
-      }
+    for (const std::unique_ptr<EventStream<Host*>>& source : sources) {
+      Host* dst = net->host(g.hosts[0][static_cast<size_t>(rr++ % cfg.hosts_per_leaf)]);
+      source->Add(base + jitter(), dst);
     }
   }
   const size_t flows_created = static_cast<size_t>(rr);

@@ -18,6 +18,14 @@
 //    re-arms them at time+period *before* invoking the callback, matching the
 //    FIFO ordering of the classic "callback re-schedules itself first" idiom
 //    while skipping the cancel/push/allocate churn.
+//  - Event streams: ReserveSeq hands out a FIFO position without pushing, and
+//    a ticketed Push later enqueues an event under that (time, seq) key. A
+//    component owning a time-ordered stream of future events (a link's
+//    propagating packets, a precomputed arrival schedule) reserves one ticket
+//    per entry when the entry is created, keeps only the stream's head in the
+//    heap, and arms the next entry with its own ticket when the head fires.
+//    Dispatch order is exactly what pushing every entry up front would give,
+//    while the heap holds one entry per stream.
 //
 // Contract: Empty() and NextTime() are const and never mutate the heap; the
 // head is always live (cancellation removes eagerly).
@@ -25,17 +33,25 @@
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/sim/inline_function.h"
+#include "src/util/check.h"
 #include "src/util/time.h"
 
 namespace bundler {
 
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
+
+// A FIFO position reserved by EventQueue::ReserveSeq, redeemed by a ticketed
+// Push. Each ticket is pushed at most once.
+struct EventTicket {
+  uint64_t seq = 0;
+};
 
 class EventQueue {
  public:
@@ -47,7 +63,7 @@ class EventQueue {
   // unconditionally — each hook is one or two increments on operations that
   // already cost a sift.
   struct Profile {
-    uint64_t pushes = 0;            // one-shot Push calls
+    uint64_t pushes = 0;            // one-shot Push calls (ticketed too)
     uint64_t periodic_pushes = 0;   // PushPeriodic calls (not re-arms)
     uint64_t cancels = 0;           // successful Cancels
     uint64_t reschedules = 0;       // successful Reschedules
@@ -70,14 +86,29 @@ class EventQueue {
   template <typename F, typename = std::enable_if_t<
                             !std::is_same_v<std::decay_t<F>, Callback>>>
   [[nodiscard]] EventId Push(TimePoint time, F&& f) {
-    uint32_t idx = AllocSlot();
-    Slot& slot = slots_[idx];
-    slot.state = SlotState::kQueued;
-    slot.period = TimeDelta::Zero();
-    slot.cb.Emplace(std::forward<F>(f));
-    HeapPush(HeapEntry{time, NextKey(idx)});
-    ++profile_.pushes;
-    return IdFor(idx);
+    return EmplaceAt(time, NextSeq(), std::forward<F>(f));
+  }
+
+  // Reserves the next FIFO position without pushing anything: the ticket
+  // orders after every event pushed before this call and before every event
+  // pushed after it, whenever it is redeemed.
+  [[nodiscard]] EventTicket ReserveSeq() { return EventTicket{NextSeq()}; }
+
+  // Pushes a one-shot event under the pre-reserved key (time, ticket.seq).
+  // CHECK-fails when that key is not after the event being (or last)
+  // dispatched: the event would otherwise fire out of its reserved order.
+  template <typename F>
+  [[nodiscard]] EventId Push(TimePoint time, EventTicket ticket, F&& f) {
+    BUNDLER_CHECK_MSG(ticket.seq != 0 && ticket.seq < next_seq_,
+                      "ticket %llu was never reserved",
+                      static_cast<unsigned long long>(ticket.seq));
+    BUNDLER_CHECK_MSG(
+        time > cursor_time_ || (time == cursor_time_ && ticket.seq > cursor_seq_),
+        "ticketed push at (%s, %llu) behind the dispatch position (%s, %llu)",
+        time.ToString().c_str(), static_cast<unsigned long long>(ticket.seq),
+        cursor_time_.ToString().c_str(),
+        static_cast<unsigned long long>(cursor_seq_));
+    return EmplaceAt(time, ticket.seq, std::forward<F>(f));
   }
 
   // Fires at `first`, then every `period` until cancelled. The id stays
@@ -107,30 +138,6 @@ class EventQueue {
   // time+period (fresh seq) before their callback runs.
   void DispatchHead();
 
-  // Batched same-timestamp dispatch. Events scheduled for one instant form an
-  // ancestor-closed top fragment of the heap (parent.time <= child.time and
-  // the fragment's time is the minimum), so StageBatch collects the whole
-  // fragment in one DFS, removes it deepest-position-first (each hole descent
-  // starts below the root, unlike repeated head pops), and sorts the staged
-  // entries by seq — exactly the order repeated DispatchHead calls would have
-  // produced. The caller then invokes DispatchStaged(0..n-1) and finishes
-  // with FinishBatch(i): any staged events not yet dispatched (the caller
-  // stopped early) are re-queued with their original seqs, so a resumed run
-  // continues identically.
-  //
-  // Events pushed during the batch at the same instant get later seqs and are
-  // picked up by the caller's next StageBatch — again matching the one-at-a-
-  // time order. Cancel/Reschedule of a staged event work mid-batch: Cancel
-  // marks the slot and DispatchStaged skips it; Reschedule re-enters the heap
-  // with a fresh seq (ordered like a brand-new push, same as the contract).
-  [[nodiscard]] size_t StageBatch(TimePoint t);
-  // Invokes staged event `i`; returns false when it was cancelled or
-  // rescheduled after staging (no callback ran — the caller's dispatched-
-  // event accounting must not count it).
-  [[nodiscard]] bool DispatchStaged(size_t i);
-  // `dispatched` = number of leading staged events the caller consumed.
-  void FinishBatch(size_t dispatched);
-
   size_t PendingForTest() const { return heap_.size(); }
 
  private:
@@ -141,8 +148,6 @@ class EventQueue {
     kQueued,
     kDispatching,         // periodic, callback currently running
     kDispatchCancelled,   // cancelled from inside its own dispatch
-    kStaged,              // extracted by StageBatch, not yet dispatched
-    kStagedCancelled,     // cancelled while staged; DispatchStaged skips it
   };
 
   // 16 bytes: the sift loops are cache-bound on the heap array, so seq and
@@ -162,10 +167,11 @@ class EventQueue {
   static uint64_t MakeKey(uint64_t seq, uint32_t slot) {
     return (seq << 24) | slot;
   }
+  static uint64_t SeqOf(uint64_t key) { return key >> 24; }
 
   // Heap positions live in a dense side array (heap_pos_), not in Slot: the
   // sift loops update the position of every entry they move, and Slot's
-  // inline callback storage makes it a ~230-byte stride — putting the 4-byte
+  // inline callback storage makes it an 80-byte stride — putting the 4-byte
   // position there would turn each sift level into a cache miss.
   struct Slot {
     uint32_t gen = 0;
@@ -182,7 +188,21 @@ class EventQueue {
     return a.key < b.key;
   }
 
-  uint64_t NextKey(uint32_t slot);
+  uint64_t NextSeq();
+  uint64_t NextKey(uint32_t slot) { return MakeKey(NextSeq(), slot); }
+  // Constructs the callable straight into a pooled slot (no intermediate
+  // InlineCallback) and queues it under (time, seq).
+  template <typename F>
+  EventId EmplaceAt(TimePoint time, uint64_t seq, F&& f) {
+    uint32_t idx = AllocSlot();
+    Slot& slot = slots_[idx];
+    slot.state = SlotState::kQueued;
+    slot.period = TimeDelta::Zero();
+    slot.cb.Emplace(std::forward<F>(f));
+    HeapPush(HeapEntry{time, MakeKey(seq, idx)});
+    ++profile_.pushes;
+    return IdFor(idx);
+  }
   uint32_t AllocSlot();
   void FreeSlot(uint32_t idx);
   // Slot index for a live id, or kNpos when stale/invalid.
@@ -207,13 +227,10 @@ class EventQueue {
   std::vector<uint32_t> heap_pos_;  // slot -> heap index, kNpos when absent
   uint32_t free_head_ = kNpos;
   uint64_t next_seq_ = 1;
-  // StageBatch scratch (members so steady-state batching never allocates).
-  std::vector<HeapEntry> staged_;
-  std::vector<uint32_t> staged_pos_;
-  // Staged entries not yet consumed (dispatched, cancelled, or rescheduled).
-  // Counted into profile_.max_heap so the peak-pending scalar is identical to
-  // the one-pop-at-a-time engine, where these events were still in the heap.
-  size_t staged_pending_ = 0;
+  // Key of the event being (or last) dispatched; ticketed pushes must land
+  // after it.
+  TimePoint cursor_time_ = TimePoint::FromNanos(std::numeric_limits<int64_t>::min());
+  uint64_t cursor_seq_ = 0;
 };
 
 }  // namespace bundler

@@ -6,10 +6,12 @@
 // capture a pointer.
 //
 // One template, two aliases:
-//  - InlineCallback: void(), 192 bytes, move-only. The event queue's slot
-//    callback; the capacity fits the largest hot-path capture in the tree — a
-//    Link transmit/propagation event carrying a Packet (176 bytes) plus its
-//    owner pointer. Move-only, so events may capture move-only state.
+//  - InlineCallback: void(), 32 bytes, move-only. The event queue's slot
+//    callback; the capacity fits the largest capture any event in the tree
+//    takes (four words). No event carries a Packet: a Link keeps its packets
+//    in its own members and its events capture only `this`, so a slot stays
+//    small enough that the pool and the heap it backs stay cache-friendly.
+//    Move-only, so events may capture move-only state.
 //  - InlineFunction<Sig>: 64 bytes (a handful of pointers), COPYABLE. Used
 //    where a long-lived component stores a small callback (QdiscSampler's
 //    rate provider, LambdaHandler's packet sink, monitor packet predicates):
@@ -159,7 +161,7 @@ class BasicInlineFunction<R(Args...), Capacity, Copyable> {
   ManageFn manage_ = nullptr;
 };
 
-using InlineCallback = BasicInlineFunction<void(), 192, /*Copyable=*/false>;
+using InlineCallback = BasicInlineFunction<void(), 32, /*Copyable=*/false>;
 
 template <typename Sig>
 using InlineFunction = BasicInlineFunction<Sig, 64, /*Copyable=*/true>;

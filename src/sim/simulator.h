@@ -8,9 +8,15 @@
 //    event re-arms in place each firing — no cancel/push churn.
 //  - Movable deadlines (RTO-style timers, shaper wakeups): keep the EventId
 //    and Reschedule/RescheduleAfter instead of Cancel + Schedule.
+//  - Time-ordered streams of future events (a link's propagating packets, a
+//    precomputed arrival schedule): ReserveSeq one ticket per entry when the
+//    entry is created, keep only the head pending, and arm each next entry
+//    with ScheduleAt(t, ticket, cb). Order is as if every entry had been
+//    scheduled when its ticket was reserved; the heap holds one event.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 
@@ -46,6 +52,17 @@ class Simulator {
                       t.ToString().c_str(), now_.ToString().c_str());
     return queue_.Push(t, std::forward<F>(cb));
   }
+  // Reserve the next FIFO position for a later ScheduleAt(t, ticket, cb).
+  [[nodiscard]] EventTicket ReserveSeq() { return queue_.ReserveSeq(); }
+  // Schedule `cb` at `t` (>= now) under a reserved ticket: it dispatches
+  // where an event scheduled at the ReserveSeq call would have. The key
+  // (t, ticket) must not lie behind the event being dispatched (CHECKed).
+  template <typename F>
+  EventId ScheduleAt(TimePoint t, EventTicket ticket, F&& cb) {
+    BUNDLER_CHECK_MSG(t >= now_, "scheduling into the past: %s < %s",
+                      t.ToString().c_str(), now_.ToString().c_str());
+    return queue_.Push(t, ticket, std::forward<F>(cb));
+  }
   // Schedule `cb` every `period`, first firing after `first_delay`. The
   // returned id stays valid across firings; Cancel stops the timer — dropping
   // it makes the timer unstoppable, hence [[nodiscard]]. (Schedule/ScheduleAt
@@ -72,13 +89,6 @@ class Simulator {
   // Stop an in-progress Run* after the current event returns.
   void Stop() { stopped_ = true; }
 
-  // --- Step-wise driving (the loop RunUntil/RunAll run; tests use it too) ---
-  bool HasPending() const { return !queue_.Empty(); }
-  // Time of the earliest pending event; callers must ensure HasPending().
-  TimePoint PeekNextTime() const { return queue_.NextTime(); }
-  // Dispatches every event scheduled for the earliest pending time.
-  void DispatchNextBatch();
-
   uint64_t events_dispatched() const { return events_dispatched_; }
 
   // Observability: the per-simulator flight recorder and counter registry.
@@ -92,8 +102,11 @@ class Simulator {
 
   // Event-queue profiling (heap depth, dispatch histogram, operation mix).
   const EventQueue::Profile& queue_profile() const { return queue_.profile(); }
+  size_t PendingForTest() const { return queue_.PendingForTest(); }
 
  private:
+  void DispatchNext();
+
   TimePoint now_;
   EventQueue queue_;
   bool stopped_ = false;

@@ -150,6 +150,55 @@ TEST(LinkDynamicsTest, PropDelayChangeAppliesToLaterPackets) {
   EXPECT_EQ(h.arrivals[1], At(0.018));  // 16 ms + 2 ms
 }
 
+// Bits in flight keep the delay they departed with, so lowering the delay
+// lets later packets overtake the wire. Each link keeps its propagating
+// packets in one ordered wire with a single pending delivery event: delivery
+// is at departure + the delay in force at departure, ties in departure order.
+TEST(LinkDynamicsTest, PropDelayDecreaseMidFlightDeliversInArrivalOrder) {
+  struct Arrival {
+    TimePoint at;
+    uint64_t seq;
+    bool operator==(const Arrival&) const = default;
+  };
+  Simulator sim;
+  std::vector<Arrival> arrivals[2];
+  LambdaHandler sink0([&sim, &arrivals](Packet p) { arrivals[0].push_back({sim.now(), p.seq}); });
+  LambdaHandler sink1([&sim, &arrivals](Packet p) { arrivals[1].push_back({sim.now(), p.seq}); });
+  // 8 Mbit/s serializes 1000 bytes in 1 ms: packet i departs at (i+1) ms.
+  Link links[2] = {
+      Link(&sim, "wire0", Rate::Mbps(8), TimeDelta::Millis(10),
+           std::make_unique<DropTailFifo>(1 << 20), &sink0),
+      Link(&sim, "wire1", Rate::Mbps(8), TimeDelta::Millis(10),
+           std::make_unique<DropTailFifo>(1 << 20), &sink1)};
+  for (Link& link : links) {
+    for (uint64_t seq = 0; seq < 6; ++seq) {
+      Packet pkt = DataPacket(1000);
+      pkt.seq = seq;
+      link.HandlePacket(std::move(pkt));
+    }
+  }
+  auto set_delay = [&links](TimeDelta d) {
+    for (Link& link : links) {
+      link.set_prop_delay(d);
+    }
+  };
+  sim.ScheduleAt(At(0.0035), [&]() { set_delay(TimeDelta::Millis(2)); });
+  sim.ScheduleAt(At(0.0045), [&]() { set_delay(TimeDelta::Millis(8)); });
+  size_t pending_mid_flight = 0;
+  sim.ScheduleAt(At(0.0065), [&]() { pending_mid_flight = sim.PendingForTest(); });
+  sim.RunAll();
+
+  // Departures 1..3 ms keep 10 ms; 4 ms left with 2 ms; 5 and 6 ms with
+  // 8 ms, so seq 4 ties seq 2 at 13 ms and follows it (departed later).
+  const std::vector<Arrival> expected = {{At(0.006), 3}, {At(0.011), 0}, {At(0.012), 1},
+                                         {At(0.013), 2}, {At(0.013), 4}, {At(0.014), 5}};
+  EXPECT_EQ(arrivals[0], expected);
+  EXPECT_EQ(arrivals[1], expected);
+  // Both links idle with five packets each on the wire: one delivery event
+  // per link is all the simulator holds.
+  EXPECT_EQ(pending_mid_flight, 2u);
+}
+
 TEST(LinkDynamicsTest, ObserverCountersConsistentAcrossPark) {
   LinkHarness h(Rate::Mbps(1));
   QueueDelayMonitor qmon;

@@ -445,6 +445,29 @@ TEST(BuiltinScenarioTest, FatTreeIncastRunsOnOneSimulator) {
   for (const auto& [key, value] : r.scalars) {
     EXPECT_NE(key.rfind("ctr.shard.", 0), 0u) << key;
   }
+  // Flows are created at their start time from one ticketed schedule per
+  // source: the heap holds a start per source, not every future flow (606
+  // pending events when all 180 were created up front).
+  EXPECT_LT(r.scalars.at("sim.queue_max_heap"), 100.0);
+}
+
+// cdn_edge_flash_crowd draws every bundle's request schedule up front but
+// creates each flow at its start time, keeping one pending arrival per bundle:
+// the same 14,980 flows as when all of them (and a start event each) were
+// built at setup, with the event heap bounded by the in-flight work (it
+// peaked at 15,246 pending events then).
+TEST(BuiltinScenarioTest, CdnEdgeCreatesFlowsAtTheirStartTime) {
+  RegisterBuiltinScenarios();
+  const Scenario* scenario = ScenarioRegistry::Global().Find("cdn_edge_flash_crowd");
+  ASSERT_NE(scenario, nullptr);
+  std::vector<TrialPoint> plan = ExpandTrials(scenario->spec, /*trials=*/1);
+  ASSERT_EQ(plan.size(), 2u);
+  for (const TrialPoint& point : plan) {
+    ASSERT_EQ(point.seed, 1u);
+    TrialResult r = scenario->run(point);
+    EXPECT_EQ(r.scalars.at("flows_created"), 14980.0) << point.variant;
+    EXPECT_LT(r.scalars.at("sim.queue_max_heap"), 4000.0) << point.variant;
+  }
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
 // Unit tests for the discrete-event simulator core: ordering, cancellation
-// (including mid-dispatch), reschedule-in-place, periodic timers, and the
-// engine's zero-allocation guarantee.
+// (including mid-dispatch), reschedule-in-place, periodic timers, ticketed
+// event streams, and the engine's zero-allocation guarantee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <random>
 #include <vector>
 
 #include "src/sim/event_queue.h"
+#include "src/sim/event_stream.h"
 #include "src/sim/simulator.h"
 
 // Global allocation counter: this binary replaces operator new/delete so the
@@ -371,122 +373,108 @@ TEST(SimulatorTest, SteadyStateSchedulingDoesNotAllocate) {
       << "the schedule/cancel/dispatch hot path must not touch the heap";
 }
 
-// --- Batched same-timestamp dispatch (EventQueue::StageBatch and
-// Simulator::DispatchNextBatch, the loop RunUntil/RunAll run) ---
+// --- Ticketed event streams (Simulator::ReserveSeq + ScheduleAt(t, ticket)) ---
 
-TEST(SimulatorBatchTest, DispatchNextBatchRunsOneTimestampInFifoOrder) {
+TEST(SimulatorTicketTest, TicketKeepsTheFifoPositionOfItsReservation) {
   Simulator sim;
   std::vector<int> fired;
   sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(1); });
-  sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(2); });
-  sim.Schedule(TimeDelta::Micros(7), [&fired]() { fired.push_back(4); });
+  const EventTicket ticket = sim.ReserveSeq();
   sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(3); });
-  ASSERT_TRUE(sim.HasPending());
-  EXPECT_EQ(sim.PeekNextTime(), TimePoint::Zero() + TimeDelta::Micros(5));
-  sim.DispatchNextBatch();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.now(), TimePoint::Zero() + TimeDelta::Micros(5));
-  sim.DispatchNextBatch();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_FALSE(sim.HasPending());
-}
-
-TEST(SimulatorBatchTest, EventsPushedDuringBatchAtSameInstantFormNextBatch) {
-  Simulator sim;
-  std::vector<int> fired;
-  sim.Schedule(TimeDelta::Micros(5), [&]() {
-    fired.push_back(1);
-    sim.Schedule(TimeDelta::Zero(), [&fired]() { fired.push_back(3); });
-  });
-  sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(2); });
-  sim.DispatchNextBatch();
-  // The same-instant event pushed mid-batch waits for the next batch — the
-  // order repeated one-at-a-time dispatch would also have produced.
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  ASSERT_TRUE(sim.HasPending());
-  EXPECT_EQ(sim.PeekNextTime(), TimePoint::Zero() + TimeDelta::Micros(5));
-  sim.DispatchNextBatch();
+  // Pushed last, but ordered where it was reserved: between 1 and 3.
+  sim.ScheduleAt(TimePoint::Zero() + TimeDelta::Micros(5), ticket,
+                 [&fired]() { fired.push_back(2); });
+  sim.RunAll();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(SimulatorBatchTest, CancelDuringBatchSkipsStagedPeer) {
-  Simulator sim;
-  std::vector<int> fired;
-  EventId victim;
-  sim.Schedule(TimeDelta::Micros(5), [&]() {
-    fired.push_back(1);
-    sim.Cancel(victim);
-  });
-  victim = sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(2); });
-  sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(3); });
-  sim.DispatchNextBatch();
-  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
-  EXPECT_FALSE(sim.HasPending());
-}
+// Drives one randomized schedule of N time-ordered streams interleaved with
+// ordinary events, in one of two ways: every stream entry pushed as a plain
+// event when it is created, or each stream an EventStream (a ticket reserved
+// per entry, only the head pending). Firing some entries schedules ordinary
+// follow-ups and appends new entries to their stream mid-run, identically in
+// both modes.
+class StreamFuzz {
+ public:
+  static constexpr int kStreams = 8;
 
-TEST(SimulatorBatchTest, RescheduleDuringBatchOrdersLikeAFreshPush) {
-  Simulator sim;
-  std::vector<int> fired;
-  EventId moved;
-  sim.Schedule(TimeDelta::Micros(5), [&]() {
-    fired.push_back(1);
-    EXPECT_TRUE(
-        sim.Reschedule(moved, TimePoint::Zero() + TimeDelta::Micros(6)));
-  });
-  moved = sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(2); });
-  sim.Schedule(TimeDelta::Micros(6), [&fired]() { fired.push_back(3); });
-  sim.DispatchNextBatch();
-  EXPECT_EQ(fired, (std::vector<int>{1}));
-  sim.DispatchNextBatch();
-  // The rescheduled event is ordered like a brand-new push at 6us, behind the
-  // event that was already queued there.
-  EXPECT_EQ(fired, (std::vector<int>{1, 3, 2}));
-  EXPECT_FALSE(sim.HasPending());
-}
-
-TEST(EventQueueTest, FinishBatchRequeuesUnconsumedStagedEventsInOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 5; ++i) {
-    (void)q.Push(TimePoint::FromNanos(100), [&fired, i]() { fired.push_back(i); });
-  }
-  (void)q.Push(TimePoint::FromNanos(200), [&fired]() { fired.push_back(99); });
-  ASSERT_EQ(q.StageBatch(TimePoint::FromNanos(100)), 5u);
-  EXPECT_TRUE(q.DispatchStaged(0));
-  EXPECT_TRUE(q.DispatchStaged(1));
-  q.FinishBatch(2);  // the caller stopped early: 2..4 re-enter the heap
-  EXPECT_EQ(fired, (std::vector<int>{0, 1}));
-  // The re-queued events keep their original seqs: they drain in the original
-  // FIFO order, ahead of the later-time event.
-  TimePoint t;
-  while (!q.Empty()) {
-    q.PopNext(&t)();
-  }
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 99}));
-}
-
-TEST(SimulatorBatchTest, BatchedRunMatchesEventByEventRun) {
-  // The same randomized schedule driven by DispatchNextBatch and by RunAll
-  // must fire in the same order and report the same dispatch count.
-  auto build = [](Simulator* sim, std::vector<int>* fired) {
-    std::mt19937_64 rng(20260808);
-    for (int i = 0; i < 300; ++i) {
-      const auto t = TimeDelta::Micros(static_cast<int64_t>(rng() % 16));
-      sim->Schedule(t, [fired, i]() { fired->push_back(i); });
+  StreamFuzz(bool ticketed, uint64_t seed) : ticketed_(ticketed) {
+    for (int k = 0; k < kStreams; ++k) {
+      streams_[k] = std::make_unique<EventStream<int>>(
+          &sim, [this, k](const int& id) { Fire(k, id); });
     }
-  };
-  Simulator batched;
-  std::vector<int> batched_fired;
-  build(&batched, &batched_fired);
-  while (batched.HasPending()) {
-    batched.DispatchNextBatch();
+    std::mt19937_64 rng(seed);
+    for (int step = 0; step < 1500; ++step) {
+      const uint64_t r = rng();
+      if (r % 4 == 0) {
+        const int id = next_id_++;
+        sim.ScheduleAt(TimePoint::Zero() + TimeDelta::Nanos(static_cast<int64_t>(rng() % 40) * 250),
+                       [this, id]() { Fire(-1, id); });
+        continue;
+      }
+      const int k = static_cast<int>(r % kStreams);
+      Append(k, last_at_[k] + TimeDelta::Nanos(static_cast<int64_t>(rng() % 3) * 250));
+    }
   }
-  Simulator serial;
-  std::vector<int> serial_fired;
-  build(&serial, &serial_fired);
-  serial.RunAll();
-  EXPECT_EQ(batched_fired, serial_fired);
-  EXPECT_EQ(batched.events_dispatched(), serial.events_dispatched());
+
+  Simulator sim;
+  std::vector<int> fired;
+
+ private:
+  void Append(int k, TimePoint at) {
+    const int id = next_id_++;
+    last_at_[k] = at;
+    if (ticketed_) {
+      streams_[k]->Add(at, id);
+    } else {
+      sim.ScheduleAt(at, [this, k, id]() { Fire(k, id); });
+    }
+  }
+
+  void Fire(int k, int id) {
+    fired.push_back(id);
+    if (id % 3 == 0) {
+      sim.Schedule(TimeDelta::Nanos(id % 4 * 250), [this, id]() { fired.push_back(-id); });
+    }
+    if (k >= 0 && id % 5 == 0 && next_id_ < 3000) {
+      const TimePoint base = std::max(sim.now(), last_at_[k]);
+      Append(k, base + TimeDelta::Nanos(id % 7 * 250));
+    }
+  }
+
+  bool ticketed_;
+  int next_id_ = 1;
+  std::unique_ptr<EventStream<int>> streams_[kStreams];
+  TimePoint last_at_[kStreams];
+};
+
+TEST(SimulatorTicketTest, TicketedStreamsMatchUpFrontPushes) {
+  for (uint64_t seed : {1u, 2u, 20261019u}) {
+    StreamFuzz ticketed(/*ticketed=*/true, seed);
+    StreamFuzz plain(/*ticketed=*/false, seed);
+    ticketed.sim.RunAll();
+    plain.sim.RunAll();
+    EXPECT_GT(plain.fired.size(), 1500u);
+    EXPECT_EQ(ticketed.fired, plain.fired) << "seed " << seed;
+    EXPECT_EQ(ticketed.sim.events_dispatched(), plain.sim.events_dispatched());
+    // One pending entry per stream instead of every future entry.
+    EXPECT_LT(ticketed.sim.queue_profile().max_heap,
+              plain.sim.queue_profile().max_heap / 2);
+  }
+}
+
+TEST(SimulatorTicketDeathTest, TicketedPushBehindDispatchPositionDies) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        const EventTicket early = sim.ReserveSeq();
+        sim.Schedule(TimeDelta::Micros(5), [&sim, early]() {
+          // Same instant as the running event, but reserved before it.
+          sim.ScheduleAt(sim.now(), early, []() {});
+        });
+        sim.RunAll();
+      },
+      "behind the dispatch position");
 }
 
 }  // namespace
