@@ -396,11 +396,12 @@ BenchResult BenchLinkEventRearmChurn() {
 // priority bands, 8 bundles, packets enqueued round-robin while simulated
 // time advances 1 us per op. Offered load (12 Gbit/s) sits inside every
 // nested limit (site 24, bundles 3 each), so ops mix immediate sends with
-// short token waits served by the pooled pump timer — ring push/pop,
+// short token waits served by the pooled pump timer — bundle FIFO push/pop,
 // IndexRing activation, three-level DRR bookkeeping, and rearm all cycle
 // every op. A control-plane SetBundleRate lands every 256 ops like a
-// manager tick. Gated allocation-free: the hierarchy rides preallocated
-// rings and one pooled timer slot, exactly like the flat qdisc rows.
+// manager tick. Gated allocation-free: the bundles' default drop-tail FIFOs
+// reuse their ring storage once warm and the pump reuses one pooled timer
+// slot, exactly like the flat qdisc rows.
 BenchResult BenchSiteEgressChurn() {
   Simulator sim;
   SiteEgress::Config cfg;

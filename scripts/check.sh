@@ -130,8 +130,9 @@ done
 
 echo "--- smoke scenario: cdn_edge_flash_crowd (multi-tenant admission + isolation)"
 # 200+ tenant bundles through one SendboxManager: admission must reject the
-# over-budget tail with explicit counters, and the run must stay
-# byte-identical across worker threads.
+# over-budget tail with explicit counters, the per-bundle queue counters
+# must add up to the per-tenant ones, and the run must stay byte-identical
+# across worker threads.
 ./build/bundler_run --scenario cdn_edge_flash_crowd --trials 1 \
   --out build/smoke_cdn --quiet
 ./build/bundler_run --scenario cdn_edge_flash_crowd --trials 1 --threads 4 \
@@ -150,6 +151,22 @@ assert s["rejected"] >= 1, s
 assert s["ctr.admit.s1.rejected_budget"] == s["rejected"], s
 print(f"  admission: {s['admitted']:.0f} admitted, "
       f"{s['rejected']:.0f} rejected (budget), counters agree")
+# Conservation between levels: every admitted bundle publishes its queue,
+# and the per-bundle queue counters sum to the per-tenant ones.
+def total(prefix, suffix):
+    return sum(v for k, v in s.items()
+               if k.startswith(prefix) and k.endswith(suffix))
+queues = sum(1 for k in s
+             if k.startswith("ctr.qdisc.sendbox.") and k.endswith(".enq_pkts"))
+assert queues == s["admitted"], (queues, s["admitted"])
+for bundle_key, tenant_key in (("enq_pkts", "enq_pkts"),
+                               ("drop_pkts", "drop_pkts"),
+                               ("deq_pkts", "tx_pkts")):
+    per_bundle = total("ctr.qdisc.sendbox.", "." + bundle_key)
+    per_tenant = total("ctr.tenant.", "." + tenant_key)
+    assert per_bundle == per_tenant, (bundle_key, per_bundle, per_tenant)
+    print(f"  conservation: sum qdisc.sendbox.*.{bundle_key} = "
+          f"sum tenant.*.{tenant_key} = {per_bundle:.0f}")
 EOF
 
 echo "--- smoke scenario: feedback_blackout (faulted control loop + watchdog)"

@@ -162,6 +162,13 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
       spec.class_weight = decl.class_weight;
       spec.initial_rate = decl.control.initial_rate;
       spec.qdisc_factory = decl.control.scheduler_factory;
+      if (!spec.qdisc_factory) {
+        const SchedulerType type = decl.control.scheduler;
+        const int64_t limit = decl.control.queue_limit_pkts;
+        spec.qdisc_factory = [type, limit]() {
+          return MakeScheduler(type, limit);
+        };
+      }
       admitted_specs.push_back(spec);
       *ctr_admitted_ += 1;
       tracer.Trace(obs::TraceCat::kTenant, obs::TraceEv::kTenantAdmit, comp_,
@@ -175,7 +182,6 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
   SiteEgress::Config egress_config;
   egress_config.aggregate_rate = policy_.aggregate_rate;
   egress_config.burst_bytes = policy_.burst_bytes;
-  egress_config.per_bundle_queue_pkts = policy_.per_bundle_queue_pkts;
   egress_ = std::make_unique<SiteEgress>(
       sim_, egress_config, std::move(tenant_specs), std::move(admitted_specs),
       [this](size_t slot, Packet pkt) { OnBundleEgress(slot, std::move(pkt)); },
@@ -196,16 +202,14 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
     Slot& slot = *slots_[static_cast<size_t>(decls_[i].slot)];
     const std::string pair = PairName(decl.control);
     slot.ctl = std::make_unique<BundleController>(sim_, decl.control, &slot, pair);
-    // The bundle's scheduler publishes under the sendbox's per-bundle queue
-    // namespace; FIFO-ring bundles are covered by their tenant's counters.
-    if (Qdisc* q = egress_->bundle_qdisc(slot.idx)) {
-      q->BindObs(&tracer, tracer.RegisterComponent("qdisc", "sendbox." + pair));
-      const Qdisc::Counters& qc = q->counters();
-      reg.Expose("qdisc.sendbox." + pair + ".enq_pkts", &qc.enq_pkts);
-      reg.Expose("qdisc.sendbox." + pair + ".deq_pkts", &qc.deq_pkts);
-      reg.Expose("qdisc.sendbox." + pair + ".drop_pkts", &qc.drop_pkts);
-      reg.Expose("qdisc.sendbox." + pair + ".mark_pkts", &qc.mark_pkts);
-    }
+    // Every bundle's scheduler publishes under qdisc.sendbox.<pair>.
+    Qdisc* q = egress_->bundle_qdisc(slot.idx);
+    q->BindObs(&tracer, tracer.RegisterComponent("qdisc", "sendbox." + pair));
+    const Qdisc::Counters& qc = q->counters();
+    reg.Expose("qdisc.sendbox." + pair + ".enq_pkts", &qc.enq_pkts);
+    reg.Expose("qdisc.sendbox." + pair + ".deq_pkts", &qc.deq_pkts);
+    reg.Expose("qdisc.sendbox." + pair + ".drop_pkts", &qc.drop_pkts);
+    reg.Expose("qdisc.sendbox." + pair + ".mark_pkts", &qc.mark_pkts);
   }
 
   // One shared periodic tick drives every admitted controller, in admission

@@ -4,8 +4,8 @@
 // tenant DRR -> bundle queue) and drives them all from ONE periodic control
 // tick, so a site can host hundreds of bundles without hundreds of timers.
 // The paper's one-bundle sendbox is the degenerate case: NetBuilder puts a
-// bundle that names no tenant into its site's implicit tenant, where it
-// queues through its own scheduler.
+// bundle that names no tenant into its site's implicit tenant. Every
+// admitted bundle queues through its own scheduler qdisc.
 //
 // Admission control runs once at construction, in bundle declaration order:
 // a bundle is admitted while (a) the concurrent-bundle cap has room and
@@ -16,8 +16,8 @@
 // records.
 //
 // Counter namespaces line up by level: qdisc.sendbox.<pair>.* per bundle
-// queue (bundles with a scheduler qdisc), sendbox.<pair>.* per controller,
-// tenant.<name>.* per tenant, admit.<site>.* per site.
+// queue, sendbox.<pair>.* per controller, tenant.<name>.* per tenant,
+// admit.<site>.* per site.
 //
 // Demultiplexing is allocation-free: every per-bundle lookup is a flat
 // remote-site -> slot table index (a bundle's destination site keys both its
@@ -46,11 +46,9 @@ std::unique_ptr<Qdisc> MakeScheduler(SchedulerType type, int64_t limit_pkts,
 
 // One bundle's sendbox config: its control loop plus its scheduler (the
 // operator's policy inside the bundle, SFQ by default so short requests
-// bypass bulk). `scheduler_factory`, when set, overrides `scheduler` (e.g.
-// custom priority classifiers). `scheduler`/`queue_limit_pkts` describe a
-// tenant-less bundle's queue (NetBuilder resolves them into the factory);
-// a bundle of a declared tenant without a factory queues on the site's
-// preallocated FIFO ring (Policy::per_bundle_queue_pkts).
+// bypass bulk). The manager builds every admitted bundle's queue from
+// `scheduler` and `queue_limit_pkts`; `scheduler_factory`, when set,
+// overrides both (e.g. custom priority classifiers).
 struct SendboxConfig : BundleControlConfig {
   SchedulerType scheduler = SchedulerType::kSfq;
   int64_t queue_limit_pkts = 4000;
@@ -65,8 +63,6 @@ class SendboxManager : public PacketHandler {
     int max_bundles = 256;                // concurrent-bundle admission cap
     // Aggregate committed-rate budget for admission; zero = aggregate_rate.
     Rate admission_budget = Rate::Zero();
-    // FIFO ring capacity of bundles without a scheduler qdisc.
-    int64_t per_bundle_queue_pkts = 512;
     int64_t burst_bytes = 2 * kMtuBytes;
     // The single shared control tick period. Every bundle's control config
     // must agree (enforced with a readable CHECK).
@@ -120,7 +116,7 @@ class SendboxManager : public PacketHandler {
   // Current enforced rate / backlog for an admitted bundle.
   Rate bundle_rate(size_t bundle) const;
   int64_t bundle_queue_bytes(size_t bundle) const;
-  // The admitted bundle's scheduler; nullptr when it queues on the FIFO ring.
+  // The admitted bundle's scheduler (never null).
   const Qdisc* bundle_qdisc(size_t bundle) const;
   size_t tenant_of(size_t bundle) const;
   const std::string& tenant_name(size_t tenant) const {

@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "src/qdisc/fifo.h"
 #include "src/util/check.h"
 
 namespace bundler {
@@ -19,7 +20,6 @@ SiteEgress::SiteEgress(Simulator* sim, const Config& config,
       out_(std::move(out)) {
   BUNDLER_CHECK(sim_ != nullptr);
   BUNDLER_CHECK(static_cast<bool>(out_));
-  BUNDLER_CHECK(config_.per_bundle_queue_pkts > 0);
   BUNDLER_CHECK(config_.burst_bytes >= kMtuBytes);
 
   obs::Tracer& tracer = sim_->trace();
@@ -61,13 +61,10 @@ SiteEgress::SiteEgress(Simulator* sim, const Config& config,
     bun.tenant = spec.tenant;
     bun.quantum = std::max<int64_t>(
         1, static_cast<int64_t>(spec.class_weight * kMtuBytes));
-    if (spec.qdisc_factory) {
-      bun.qdisc = spec.qdisc_factory();
-      BUNDLER_CHECK(bun.qdisc != nullptr);
-    } else {
-      bun.queue.slots.resize(
-          static_cast<size_t>(config_.per_bundle_queue_pkts));
-    }
+    bun.qdisc = spec.qdisc_factory
+                    ? spec.qdisc_factory()
+                    : std::make_unique<DropTailFifo>(512 * int64_t{kMtuBytes});
+    BUNDLER_CHECK(bun.qdisc != nullptr);
     bundles_.push_back(std::move(bun));
   }
 }
@@ -76,27 +73,6 @@ SiteEgress::~SiteEgress() {
   if (pending_timer_ != kInvalidEventId) {
     sim_->Cancel(pending_timer_);
   }
-}
-
-const Packet* SiteEgress::RingPeek(const PacketRing& ring) const {
-  return ring.count == 0 ? nullptr : &ring.slots[ring.head];
-}
-
-Packet SiteEgress::RingPop(PacketRing& ring) {
-  Packet pkt = std::move(ring.slots[ring.head]);
-  ring.head = ring.head + 1 == ring.slots.size() ? 0 : ring.head + 1;
-  --ring.count;
-  ring.bytes -= pkt.size_bytes;
-  return pkt;
-}
-
-int64_t SiteEgress::BundleBacklogPkts(const Bundle& bun) const {
-  return bun.qdisc != nullptr ? bun.qdisc->packets()
-                              : static_cast<int64_t>(bun.queue.count);
-}
-
-const Packet* SiteEgress::BundleHead(const Bundle& bun) const {
-  return bun.qdisc != nullptr ? bun.qdisc->Peek() : RingPeek(bun.queue);
 }
 
 void SiteEgress::ActivateBundle(size_t b) {
@@ -132,50 +108,32 @@ void SiteEgress::Enqueue(size_t bundle, Packet pkt) {
   BUNDLER_CHECK(bundle < bundles_.size());
   Bundle& bun = bundles_[bundle];
   Tenant& ten = tenants_[bun.tenant];
-  if (bun.qdisc != nullptr) {
-    pkt.queue_enter = sim_->now();
-    const int64_t before_pkts = bun.qdisc->packets();
-    const uint64_t before_drops = bun.qdisc->drops();
-    // Accepted may still victim-drop another packet (e.g. SFQ longest-queue
-    // drop); reconcile backlog and drop counters from the qdisc's deltas.
-    const bool accepted = bun.qdisc->Enqueue(std::move(pkt), sim_->now());
-    total_backlog_pkts_ += bun.qdisc->packets() - before_pkts;
-    const uint64_t dropped = bun.qdisc->drops() - before_drops;
-    bun.drops += dropped;
-    *ten.ctr_drop += dropped;
-    if (accepted) {
-      *ten.ctr_enq += 1;
-    }
-    if (bun.qdisc->packets() > 0) {
-      ActivateBundle(bundle);
-    }
-    // Arrival onto an already-backlogged bundle with the head untouched (no
-    // victim drop) changes no head and no token state, so the wakeup plan
-    // computed by the last pump pass is still exactly right — skip the
-    // otherwise-futile full pass (the dominant steady-state arrival path).
-    if (before_pkts > 0 && dropped == 0) {
-      return;
-    }
-    Pump();
-    return;
-  }
-  if (bun.queue.count == bun.queue.slots.size()) {
-    ++bun.drops;
-    *ten.ctr_drop += 1;
-    return;  // drop-tail; move-only Packet dies here
-  }
+  Qdisc& q = *bun.qdisc;
   pkt.queue_enter = sim_->now();
-  PacketRing& ring = bun.queue;
-  const bool was_backlogged = ring.count > 0;
-  const size_t slot = (ring.head + ring.count) % ring.slots.size();
-  ring.bytes += pkt.size_bytes;
-  ring.slots[slot] = std::move(pkt);
-  ++ring.count;
-  ++total_backlog_pkts_;
-  *ten.ctr_enq += 1;
-  ActivateBundle(bundle);
-  if (was_backlogged) {
-    return;  // head unchanged: the armed wakeup / pending kick covers it
+  const int64_t before_pkts = q.packets();
+  const uint64_t before_drops = q.drops();
+  // A refusal may still have queued the arrival and dropped another packet
+  // (SFQ longest-queue drop); reconcile backlog and drop counters from the
+  // qdisc's deltas.
+  const bool accepted = q.Enqueue(std::move(pkt), sim_->now());
+  total_backlog_pkts_ += q.packets() - before_pkts;
+  const uint64_t dropped = q.drops() - before_drops;
+  bun.drops += dropped;
+  *ten.ctr_drop += dropped;
+  if (accepted) {
+    *ten.ctr_enq += 1;
+  }
+  if (q.packets() > 0) {
+    ActivateBundle(bundle);
+  }
+  // An arrival onto an already-backlogged bundle changes no token state. If
+  // it dropped nothing, or the qdisc refused it with its backlog unchanged
+  // (see Qdisc::Enqueue), the wakeup plan computed by the last pump pass
+  // still holds: skip the otherwise-futile full pass (the dominant
+  // steady-state arrival path). Any other drop re-plans.
+  if (before_pkts > 0 &&
+      (dropped == 0 || (!accepted && q.packets() == before_pkts))) {
+    return;
   }
   Pump();
 }
@@ -209,13 +167,12 @@ Rate SiteEgress::bundle_rate(size_t bundle) const {
 
 int64_t SiteEgress::bundle_queue_bytes(size_t bundle) const {
   BUNDLER_CHECK(bundle < bundles_.size());
-  const Bundle& bun = bundles_[bundle];
-  return bun.qdisc != nullptr ? bun.qdisc->bytes() : bun.queue.bytes;
+  return bundles_[bundle].qdisc->bytes();
 }
 
 int64_t SiteEgress::bundle_queue_pkts(size_t bundle) const {
   BUNDLER_CHECK(bundle < bundles_.size());
-  return BundleBacklogPkts(bundles_[bundle]);
+  return bundles_[bundle].qdisc->packets();
 }
 
 uint64_t SiteEgress::bundle_drops(size_t bundle) const {
@@ -269,8 +226,9 @@ int SiteEgress::ServeTenant(size_t t, TimePoint now) {
     }
     int sent_here = 0;
     bool deficit_short = false;
-    while (BundleBacklogPkts(bun) > 0) {
-      const Packet* head = BundleHead(bun);
+    Qdisc& q = *bun.qdisc;
+    while (q.packets() > 0) {
+      const Packet* head = q.Peek();
       const int64_t bytes = head->size_bytes;
       if (bun.deficit < bytes) {
         // Quantum spent (or sub-MTU quantum still accumulating toward the
@@ -305,24 +263,18 @@ int SiteEgress::ServeTenant(size_t t, TimePoint now) {
         }
         break;  // out of tokens; siblings in this tenant proceed
       }
-      std::optional<Packet> popped;
-      if (bun.qdisc != nullptr) {
-        const int64_t before_pkts = bun.qdisc->packets();
-        const uint64_t before_drops = bun.qdisc->drops();
-        popped = bun.qdisc->Dequeue(now);
-        total_backlog_pkts_ -= before_pkts - bun.qdisc->packets();
-        const uint64_t aqm_drops = bun.qdisc->drops() - before_drops;
-        bun.drops += aqm_drops;
-        *ten.ctr_drop += aqm_drops;
-        if (!popped.has_value()) {
-          if (bun.qdisc->packets() == before_pkts) {
-            break;  // qdisc made no progress; avoid spinning
-          }
-          continue;  // AQM dequeue-drop consumed the head; re-peek
+      const int64_t before_pkts = q.packets();
+      const uint64_t before_drops = q.drops();
+      std::optional<Packet> popped = q.Dequeue(now);
+      total_backlog_pkts_ -= before_pkts - q.packets();
+      const uint64_t aqm_drops = q.drops() - before_drops;
+      bun.drops += aqm_drops;
+      *ten.ctr_drop += aqm_drops;
+      if (!popped.has_value()) {
+        if (q.packets() == before_pkts) {
+          break;  // qdisc made no progress; avoid spinning
         }
-      } else {
-        popped = RingPop(bun.queue);
-        --total_backlog_pkts_;
+        continue;  // AQM dequeue-drop consumed the head; re-peek
       }
       Packet pkt = std::move(*popped);
       const int64_t sent_bytes = pkt.size_bytes;
@@ -346,7 +298,7 @@ int SiteEgress::ServeTenant(size_t t, TimePoint now) {
         break;  // tenant quantum spent; siblings in the band get served
       }
     }
-    if (BundleBacklogPkts(bun) == 0) {
+    if (q.packets() == 0) {
       DeactivateBundle(b);  // forfeits unused credit (standard DRR)
     } else if (site_blocked_) {
       // The site ran dry mid-turn: not this bundle's fault. Hold its place

@@ -8,12 +8,15 @@
 // optional per-tenant cap bucket, and a per-bundle bucket set by that
 // bundle's BundleController every control tick). This is the sendbox's data
 // plane: controllers decide rates, SiteEgress is the one place that queues,
-// schedules and shapes bundle packets.
+// schedules and shapes bundle packets. Every bundle queues through its own
+// Qdisc (the operator's scheduler inside the bundle; a drop-tail FIFO when
+// the spec names none).
 //
 // Invariants the tests pin down:
-//  - Zero allocations per datapath operation: bundle queues are preallocated
-//    packet rings, the active-entity lists are index rings
-//    (util/index_ring.h), and the pump wakeup reuses one pooled timer slot.
+//  - Zero allocations per datapath operation in steady state: bundle qdiscs
+//    recycle their ring storage once it reaches its high-water mark, the
+//    active-entity lists are index rings (util/index_ring.h), and the pump
+//    wakeup reuses one pooled timer slot.
 //  - Deterministic service order: bands scan low index first (strict
 //    priority), tenants and bundles round-robin in activation order with
 //    byte-deficit fairness (quantum proportional to weight x MTU), and a
@@ -48,7 +51,6 @@ class SiteEgress {
   struct Config {
     Rate aggregate_rate = Rate::Gbps(1);   // site uplink shaping budget
     int64_t burst_bytes = 2 * kMtuBytes;   // every bucket's burst allowance
-    int64_t per_bundle_queue_pkts = 512;   // drop-tail limit per bundle ring
   };
 
   struct TenantSpec {
@@ -65,8 +67,7 @@ class SiteEgress {
                                 // (the service-class knob)
     Rate initial_rate = Rate::Mbps(12);  // until the controller's first tick
     // Operator-chosen scheduling *inside* the bundle (e.g. SFQ so short
-    // requests bypass bulk). Null = the preallocated FIFO ring, the
-    // zero-allocation datapath the scheduler-churn bench gates.
+    // requests bypass bulk). Null = a drop-tail FIFO of 512 MTUs.
     std::function<std::unique_ptr<Qdisc>()> qdisc_factory = nullptr;
   };
 
@@ -82,7 +83,8 @@ class SiteEgress {
   SiteEgress& operator=(const SiteEgress&) = delete;
 
   // --- Datapath ---
-  // Queues `pkt` on `bundle`'s ring (drop-tail when full) and pumps.
+  // Queues `pkt` on `bundle`'s qdisc and pumps unless the arrival cannot
+  // have changed what the last pump pass planned.
   void Enqueue(size_t bundle, Packet pkt);
 
   // --- Control plane ---
@@ -101,7 +103,7 @@ class SiteEgress {
   int64_t bundle_queue_bytes(size_t bundle) const;
   int64_t bundle_queue_pkts(size_t bundle) const;
   uint64_t bundle_drops(size_t bundle) const;
-  // The bundle's scheduler qdisc; nullptr for a FIFO-ring bundle.
+  // The bundle's scheduler qdisc (never null).
   Qdisc* bundle_qdisc(size_t bundle);
   const Qdisc* bundle_qdisc(size_t bundle) const;
   uint64_t tenant_tx_bytes(size_t tenant) const;
@@ -110,18 +112,8 @@ class SiteEgress {
   int64_t total_backlog_pkts() const { return total_backlog_pkts_; }
 
  private:
-  // Preallocated move-only packet ring (the per-bundle queue). Fixed
-  // capacity; the datapath never allocates.
-  struct PacketRing {
-    std::vector<Packet> slots;
-    size_t head = 0;
-    size_t count = 0;
-    int64_t bytes = 0;
-  };
-
   struct Bundle {
-    PacketRing queue;             // used when qdisc is null
-    std::unique_ptr<Qdisc> qdisc; // used when BundleSpec::qdisc_factory set
+    std::unique_ptr<Qdisc> qdisc;
     TokenBucket bucket;
     size_t tenant = 0;
     int64_t quantum = kMtuBytes;  // class_weight x MTU
@@ -164,11 +156,6 @@ class SiteEgress {
         : cap(cap_rate, burst, now) {}
   };
 
-  const Packet* RingPeek(const PacketRing& ring) const;
-  Packet RingPop(PacketRing& ring);
-  // Uniform queue views over ring- and qdisc-backed bundles.
-  int64_t BundleBacklogPkts(const Bundle& bun) const;
-  const Packet* BundleHead(const Bundle& bun) const;
   void ActivateBundle(size_t b);
   void DeactivateBundle(size_t b);
 

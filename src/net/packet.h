@@ -62,7 +62,6 @@ struct Packet {
   // (observer snapshots in tests, fan-out). The hot path never clones.
   Packet Clone() const;
 
-  uint64_t id = 0;       // globally unique, for debugging
   uint64_t flow_id = 0;  // simulation-level flow identity (endpoint demux)
   PacketType type = PacketType::kData;
   uint32_t size_bytes = kMtuBytes;

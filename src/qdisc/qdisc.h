@@ -36,9 +36,19 @@ class Qdisc {
     uint64_t mark_pkts = 0;  // ECN-style marks (reserved; no discipline marks yet)
   };
 
-  // Returns false if the incoming packet was dropped instead of enqueued.
-  // (A true return may still have dropped a *different* packet to make room;
-  // that shows up in counters()/drops().)
+  // Returns true when the arrival was queued and nothing was dropped. What a
+  // false return means depends on the discipline:
+  //  - drop-tail disciplines (DropTailFifo, Codel, StrictPrio) refuse the
+  //    arrival itself: nothing is queued and packets() is unchanged;
+  //  - overflow-victim disciplines (Sfq, Drr, FqCodel) queue the arrival,
+  //    then, over their limit, drop one packet of the longest flow queue
+  //    (Sfq/Drr its tail, possibly the arrival; FqCodel its head) and return
+  //    false. packets() is again unchanged across the call, but the dropped
+  //    packet may belong to another flow.
+  // Either way "false and packets() unchanged" means one arrival in, one
+  // packet dropped, backlog not grown; SiteEgress's enqueue fast path relies
+  // on exactly this. Read drops() for the drop count; counters().enq_pkts
+  // counts true returns only.
   bool Enqueue(Packet pkt, TimePoint now) {
     const uint64_t flow = pkt.flow_id;
     const uint64_t size = pkt.size_bytes;

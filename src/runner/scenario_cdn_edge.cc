@@ -137,6 +137,10 @@ NetBuilder CdnEdgeBuilder(bool managed, CdnEdgeGraph* graph) {
       bundle.ingress_edge = ingress[static_cast<size_t>(i)];
       bundle.tenant = "tenant" + std::to_string(i / kClassesPerTenant);
       bundle.class_weight = kClassWeight[i % kClassesPerTenant];
+      // A drop-tail FIFO per bundle: the tenant and class weights are the
+      // policy under test, not scheduling inside a bundle.
+      bundle.sendbox.scheduler = SchedulerType::kFifo;
+      bundle.sendbox.queue_limit_pkts = 512;
       b.AddBundle(bundle);
     }
   }

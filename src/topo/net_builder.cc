@@ -526,13 +526,6 @@ std::unique_ptr<Net> NetBuilder::Build(Simulator* sim) const {
       decl.control.remote_site = dst.site;
       decl.control.ctl_addr = MakeAddress(src.site, kBundlerCtlHost);
       decl.control.receivebox_ctl_addr = MakeAddress(dst.site, kBundlerCtlHost);
-      if (bundle.tenant.empty() && !decl.control.scheduler_factory) {
-        const SchedulerType type = bundle.sendbox.scheduler;
-        const int64_t limit = bundle.sendbox.queue_limit_pkts;
-        decl.control.scheduler_factory = [type, limit]() {
-          return MakeScheduler(type, limit);
-        };
-      }
       if (derive_policy && decls.empty()) {
         policy.control_interval = bundle.sendbox.control_interval;
       }

@@ -157,7 +157,7 @@ TEST(LinkDynamicsTest, PropDelayChangeAppliesToLaterPackets) {
 TEST(LinkDynamicsTest, PropDelayDecreaseMidFlightDeliversInArrivalOrder) {
   struct Arrival {
     TimePoint at;
-    uint64_t seq;
+    int64_t seq;
     bool operator==(const Arrival&) const = default;
   };
   Simulator sim;
@@ -171,7 +171,7 @@ TEST(LinkDynamicsTest, PropDelayDecreaseMidFlightDeliversInArrivalOrder) {
       Link(&sim, "wire1", Rate::Mbps(8), TimeDelta::Millis(10),
            std::make_unique<DropTailFifo>(1 << 20), &sink1)};
   for (Link& link : links) {
-    for (uint64_t seq = 0; seq < 6; ++seq) {
+    for (int64_t seq = 0; seq < 6; ++seq) {
       Packet pkt = DataPacket(1000);
       pkt.seq = seq;
       link.HandlePacket(std::move(pkt));

@@ -63,7 +63,6 @@ class QdiscPropertyTest : public ::testing::TestWithParam<QdiscCase> {};
 
 Packet RandomPacket(Rng& rng, uint64_t seq) {
   Packet p;
-  p.id = seq;
   p.flow_id = rng.NextU64() % 16;
   p.key.src = MakeAddress(1, static_cast<uint16_t>(p.flow_id));
   p.key.dst = MakeAddress(2, 1);
@@ -154,11 +153,11 @@ TEST_P(QdiscPropertyTest, PeekMatchesNextDeliveredUnlessAqmDrops) {
   while (!q->Empty()) {
     const Packet* head = q->Peek();
     ASSERT_NE(head, nullptr) << GetParam().name;
-    uint64_t head_id = head->id;
+    const int64_t head_seq = head->seq;
     auto out = q->Dequeue(now);  // no sojourn -> CoDel will not drop
     ASSERT_TRUE(out.has_value()) << GetParam().name;
     if (single_queue) {
-      EXPECT_EQ(out->id, head_id) << GetParam().name;
+      EXPECT_EQ(out->seq, head_seq) << GetParam().name;
     }
   }
 }
@@ -374,7 +373,7 @@ TEST(QdiscByteIdentityTest, FqCodelMatchesDequeListReference) {
   // Randomized churn with standing queues, so every code path engages:
   // new/old list rotation, deficit refills, CoDel sojourn drops, and
   // overflow drops from the fattest flow. Every dequeue must produce the
-  // same packet id and every drop counter must match, step for step.
+  // same packet seq and every drop counter must match, step for step.
   FqCodel::Config cfg;
   cfg.limit_packets = 192;
   for (uint64_t seed = 3; seed <= 5; ++seed) {
@@ -397,7 +396,7 @@ TEST(QdiscByteIdentityTest, FqCodelMatchesDequeListReference) {
         ASSERT_EQ(out.has_value(), ref_out.has_value())
             << "seed " << seed << " step " << step;
         if (out.has_value()) {
-          ASSERT_EQ(out->id, ref_out->id) << "seed " << seed << " step " << step;
+          ASSERT_EQ(out->seq, ref_out->seq) << "seed " << seed << " step " << step;
         }
       }
       ASSERT_EQ(q.drops(), ref.drops()) << "seed " << seed << " step " << step;
@@ -428,7 +427,7 @@ TEST(QdiscByteIdentityTest, StrictPrioMatchesDequeReference) {
         ASSERT_EQ(out.has_value(), ref_out.has_value())
             << "seed " << seed << " step " << step;
         if (out.has_value()) {
-          ASSERT_EQ(out->id, ref_out->id) << "seed " << seed << " step " << step;
+          ASSERT_EQ(out->seq, ref_out->seq) << "seed " << seed << " step " << step;
         }
       }
       ASSERT_EQ(q.drops(), ref.drops()) << "seed " << seed << " step " << step;

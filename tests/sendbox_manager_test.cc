@@ -3,10 +3,12 @@
 // declaration order for both causes, the nested token buckets (site ->
 // tenant cap -> bundle) never over-send versus an independent reference
 // model, DRR shares out bandwidth by weight within and across priority
-// bands, and one tenant's feedback blackout degrades only that tenant's
-// watchdog while its neighbors keep shaping.
+// bands, every admitted bundle queues on the qdisc its SendboxConfig names,
+// and one tenant's feedback blackout degrades only that tenant's watchdog
+// while its neighbors keep shaping.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,6 +17,7 @@
 #include "src/app/workload.h"
 #include "src/bundler/sendbox_manager.h"
 #include "src/bundler/site_egress.h"
+#include "src/qdisc/fifo.h"
 #include "src/topo/net_builder.h"
 
 namespace bundler {
@@ -42,6 +45,20 @@ SendboxManager::BundleDecl Decl(size_t tenant, SiteId remote) {
   d.tenant = tenant;
   d.control = ControlFor(/*local=*/1, remote);
   return d;
+}
+
+Packet DataTo(SiteId dst) {
+  Packet pkt;
+  pkt.type = PacketType::kData;
+  pkt.key.src = MakeAddress(1, kSiteHost);
+  pkt.key.dst = MakeAddress(dst, kSiteHost);
+  pkt.size_bytes = kMtuBytes;
+  return pkt;
+}
+
+// A bundle queue deep enough that no test burst below overflows it.
+std::unique_ptr<Qdisc> DeepFifo() {
+  return std::make_unique<DropTailFifo>(4096 * int64_t{kMtuBytes});
 }
 
 // --- Admission control ---
@@ -125,12 +142,7 @@ TEST(SendboxManagerTest, RejectedBundlePassesThroughUnshaped) {
 
   auto send = [&](SiteId dst, int n) {
     for (int i = 0; i < n; ++i) {
-      Packet pkt;
-      pkt.type = PacketType::kData;
-      pkt.key.src = MakeAddress(1, kSiteHost);
-      pkt.key.dst = MakeAddress(dst, kSiteHost);
-      pkt.size_bytes = kMtuBytes;
-      mgr.HandlePacket(std::move(pkt));
+      mgr.HandlePacket(DataTo(dst));
     }
   };
   // Rejected bundle: status quo ante — every packet exits immediately.
@@ -154,6 +166,69 @@ TEST(SendboxManagerTest, RejectedBundlePassesThroughUnshaped) {
   mgr.HandlePacket(std::move(fb));
   EXPECT_EQ(sink.pkts.size(), before);
   EXPECT_EQ(*sim.counters().Counter("admit.mgr.orphan_feedback_pkts"), 1u);
+}
+
+// --- Bundle queues ---
+
+TEST(SendboxManagerTest, TenantedBundleQueuesOnDefaultScheduler) {
+  // A bundle of a declared tenant that sets no scheduler field gets the
+  // SendboxConfig default (SFQ), published like any other bundle queue.
+  Simulator sim;
+  Sink sink;
+  SendboxManager::Policy policy;
+  std::vector<SendboxManager::TenantPolicy> tenants(1);
+  tenants[0].name = "t";
+  SendboxManager mgr(&sim, policy, tenants, {Decl(0, 10)}, 1,
+                     MakeAddress(1, kBundlerCtlHost), &sink, "mgr");
+  ASSERT_TRUE(mgr.admitted(0));
+  ASSERT_NE(mgr.bundle_qdisc(0), nullptr);
+  EXPECT_STREQ(mgr.bundle_qdisc(0)->name(), "sfq");
+
+  for (int i = 0; i < 10; ++i) {
+    mgr.HandlePacket(DataTo(10));
+  }
+  std::map<std::string, double> dump;
+  sim.counters().DumpTo(&dump, "");
+  for (const char* key : {"enq_pkts", "deq_pkts", "drop_pkts"}) {
+    EXPECT_EQ(dump.count(std::string("qdisc.sendbox.s1-s10.") + key), 1u)
+        << key;
+  }
+  EXPECT_EQ(dump["qdisc.sendbox.s1-s10.enq_pkts"], 10.0);
+  EXPECT_EQ(dump["qdisc.sendbox.s1-s10.deq_pkts"],
+            static_cast<double>(sink.pkts.size()));
+  EXPECT_EQ(dump["qdisc.sendbox.s1-s10.drop_pkts"], 0.0);
+}
+
+TEST(SendboxManagerTest, FullFifoBundleRefusalCountsOneDrop) {
+  Simulator sim;
+  Sink sink;
+  SendboxManager::Policy policy;
+  std::vector<SendboxManager::TenantPolicy> tenants(1);
+  tenants[0].name = "t";
+  SendboxManager::BundleDecl decl = Decl(0, 10);
+  decl.control.scheduler = SchedulerType::kFifo;
+  decl.control.queue_limit_pkts = 4;
+  SendboxManager mgr(&sim, policy, tenants, {decl}, 1,
+                     MakeAddress(1, kBundlerCtlHost), &sink, "mgr");
+  ASSERT_STREQ(mgr.bundle_qdisc(0)->name(), "droptail_fifo");
+  const SiteEgress& egress = mgr.egress_hierarchy();
+  const uint64_t* tenant_drops = sim.counters().Counter("tenant.t.drop_pkts");
+
+  // The burst allowance sends the first packets at once; the rest fill the
+  // 4-packet queue, which no simulated time drains.
+  for (int i = 0; i < 16 && egress.bundle_queue_pkts(0) < 4; ++i) {
+    mgr.HandlePacket(DataTo(10));
+  }
+  ASSERT_EQ(egress.bundle_queue_pkts(0), 4);
+  ASSERT_EQ(egress.bundle_drops(0), 0u);
+  ASSERT_EQ(*tenant_drops, 0u);
+  const size_t sent = sink.pkts.size();
+
+  mgr.HandlePacket(DataTo(10));
+  EXPECT_EQ(egress.bundle_drops(0), 1u);
+  EXPECT_EQ(*tenant_drops, 1u);
+  EXPECT_EQ(egress.bundle_queue_pkts(0), 4);
+  EXPECT_EQ(sink.pkts.size(), sent);
 }
 
 // --- Nested-bucket conformance ---
@@ -188,7 +263,6 @@ TEST(SiteEgressTest, NestedBucketsConformToReferenceModel) {
   Simulator sim;
   SiteEgress::Config config;
   config.aggregate_rate = Rate::Mbps(50);
-  config.per_bundle_queue_pkts = 4096;
   // T0: capped below its bundle's rate, so the tenant cap is the binding
   // constraint; T1: uncapped, its bundles bound by bundle rate and the site.
   std::vector<SiteEgress::TenantSpec> tenants = {
@@ -196,9 +270,9 @@ TEST(SiteEgressTest, NestedBucketsConformToReferenceModel) {
       {"t1", /*priority=*/1, /*weight=*/1.0, Rate::Zero()},
   };
   std::vector<SiteEgress::BundleSpec> bundles = {
-      {0, 1.0, Rate::Mbps(30)},
-      {1, 1.0, Rate::Mbps(8)},
-      {1, 1.0, Rate::Mbps(50)},
+      {0, 1.0, Rate::Mbps(30), DeepFifo},
+      {1, 1.0, Rate::Mbps(8), DeepFifo},
+      {1, 1.0, Rate::Mbps(50), DeepFifo},
   };
   struct Send {
     double at_s;
@@ -260,7 +334,6 @@ TEST(SiteEgressTest, DrrSharesByWeightAcrossAndWithinTenants) {
   Simulator sim;
   SiteEgress::Config config;
   config.aggregate_rate = Rate::Mbps(50);
-  config.per_bundle_queue_pkts = 4096;
   // A capped high-priority tenant (it gets exactly its cap, strictly first)
   // over two best-effort tenants splitting the residual 1:3; tenant t2's
   // two bundles split its share 1:2 by class weight.
@@ -271,10 +344,10 @@ TEST(SiteEgressTest, DrrSharesByWeightAcrossAndWithinTenants) {
   };
   const Rate unconstrained = Rate::Mbps(100);
   std::vector<SiteEgress::BundleSpec> bundles = {
-      {0, 1.0, unconstrained},
-      {1, 1.0, unconstrained},
-      {2, 1.0, unconstrained},
-      {2, 2.0, unconstrained},
+      {0, 1.0, unconstrained, DeepFifo},
+      {1, 1.0, unconstrained, DeepFifo},
+      {2, 1.0, unconstrained, DeepFifo},
+      {2, 2.0, unconstrained, DeepFifo},
   };
   std::vector<int64_t> sent(4, 0);
   SiteEgress egress(
