@@ -3,7 +3,7 @@
 // overhead"). This self-contained benchmark (no external framework) measures
 // the hash, the epoch boundary check, each qdisc's enqueue+dequeue cost, and
 // — the simulator's real hot path — the event engine: schedule+dispatch
-// churn, cancel-heavy churn, periodic re-arm, and an end-to-end experiment
+// churn, cancel-heavy churn, and an end-to-end experiment
 // run in events per second.
 //
 // The inline-callback engine is benchmarked against `LegacyFunctionQueue`, a
@@ -283,18 +283,6 @@ BenchResult BenchScheduleCancel(const std::string& name) {
     ++i;
   });
   g_sink = g_sink + sink_word;
-  return r;
-}
-
-BenchResult BenchPeriodicDispatch() {
-  EventQueue q;
-  static uint64_t ticks = 0;
-  for (int i = 0; i < 64; ++i) {
-    (void)q.PushPeriodic(TimePoint::FromNanos(i), TimeDelta::Micros(1), []() { ++ticks; });
-  }
-  BenchResult r = Measure("engine_periodic_dispatch", 1 << 14, 1 << 20,
-                          [&](uint64_t) { q.DispatchHead(); });
-  g_sink = g_sink + ticks;
   return r;
 }
 
@@ -660,7 +648,6 @@ int Run(const std::string& json_path) {
   results.push_back(
       BenchScheduleCancel<LegacyFunctionQueue>("legacy_function_queue_schedule_cancel"));
   results.push_back(BenchScheduleCancel<EventQueue>("engine_schedule_cancel"));
-  results.push_back(BenchPeriodicDispatch());
   results.push_back(BenchTcpRecoveryChurn());
   results.push_back(BenchLinkEventRearmChurn());
   results.push_back(BenchFlowReclaimChurn());

@@ -4,7 +4,8 @@
 #   1. build+test — plain build, full ctest
 #   2. sanitizers — ASan+UBSan full suite, TSan over the suites that spawn threads
 #   3. analyzers  — scripts/analyze.sh --tidy-only when clang-tidy exists
-#   4. smoke      — scenario runs with byte-identity determinism checks
+#   4. smoke      — every example program, and scenario runs with
+#                   byte-identity determinism checks
 #   5. repro      — scripts/repro.sh asserts the paper's headline claims
 # Set CHECK_SKIP_SANITIZERS=1 to skip tier 2 (e.g. on machines without
 # libasan); CHECK_SKIP_REPRO=1 to skip tier 5 (it simulates several minutes
@@ -46,6 +47,15 @@ if command -v clang-tidy >/dev/null 2>&1; then
 else
   echo "--- analyzer tier: clang-tidy not installed, skipping"
 fi
+
+echo "--- examples smoke: every example program must exit 0"
+# Iterate the sources, not build/examples/: a missing binary fails here, and
+# a stale binary of a deleted example is not run.
+for src in examples/*.cpp; do
+  example="build/examples/example_$(basename "${src}" .cpp)"
+  "${example}" > /dev/null
+  echo "  ${example}: OK"
+done
 
 echo "--- topology construction smoke: --dump-topology for every scenario"
 for scenario in $(./build/bundler_run --list-names); do

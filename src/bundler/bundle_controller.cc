@@ -22,11 +22,14 @@ const char* BundlerModeName(BundlerMode mode) {
 
 BundleController::BundleController(Simulator* sim,
                                    const BundleControlConfig& config,
-                                   BundleDataplane* dataplane,
+                                   SiteEgress* egress, size_t egress_idx,
+                                   PacketHandler* uplink,
                                    const std::string& obs_name)
     : sim_(sim),
       config_(config),
-      dp_(dataplane),
+      egress_(egress),
+      egress_idx_(egress_idx),
+      uplink_(uplink),
       meas_(config.measurement),
       cc_(MakeBundleCc(config.cc, config.initial_rate)),
       detector_(config.nimbus),
@@ -36,7 +39,8 @@ BundleController::BundleController(Simulator* sim,
       last_epoch_update_(sim->now()),
       last_epoch_ctl_sent_(sim->now()) {
   BUNDLER_CHECK(sim_ != nullptr);
-  BUNDLER_CHECK(dp_ != nullptr);
+  BUNDLER_CHECK(egress_ != nullptr && egress_idx_ < egress_->num_bundles());
+  BUNDLER_CHECK(uplink_ != nullptr);
   BUNDLER_CHECK(epoch_pkts_ != 0 && (epoch_pkts_ & (epoch_pkts_ - 1)) == 0);
   mode_log_.emplace_back(sim_->now(), mode_);
   start_time_ = sim_->now();
@@ -109,8 +113,8 @@ void BundleController::SwitchMode(BundlerMode next) {
       ReseedController(now);
       break;
     case BundlerMode::kPassThrough: {
-      Rate start = std::max(detector_.mu_estimate(), dp_->ShapedRate());
-      pi_.Reset(start, dp_->QueueBytes(), now);
+      Rate start = std::max(detector_.mu_estimate(), shaped_rate());
+      pi_.Reset(start, queue_bytes(), now);
       break;
     }
     case BundlerMode::kDisabled:
@@ -232,7 +236,7 @@ void BundleController::MaybeUpdateEpochSize(const BundleMeasurement& m) {
   }
   TimePoint now = sim_->now();
   Rate basis =
-      egress_rate_bps_ > 0 ? Rate::BitsPerSec(egress_rate_bps_) : dp_->ShapedRate();
+      egress_rate_bps_ > 0 ? Rate::BitsPerSec(egress_rate_bps_) : shaped_rate();
   uint32_t desired = ComputeEpochSizePkts(meas_.min_rtt(), basis);
   if (desired != epoch_pkts_ && now - last_epoch_update_ >= meas_.srtt()) {
     epoch_pkts_ = desired;
@@ -305,8 +309,8 @@ void BundleController::WatchdogTick(const BundleMeasurement& m) {
       if (mode_ == BundlerMode::kDelayControl) {
         ReseedController(now);
       } else if (mode_ == BundlerMode::kPassThrough) {
-        pi_.Reset(std::max(detector_.mu_estimate(), dp_->ShapedRate()),
-                  dp_->QueueBytes(), now);
+        pi_.Reset(std::max(detector_.mu_estimate(), shaped_rate()),
+                  queue_bytes(), now);
       }
       ++*ctr_wd_resyncs_;
       wd_log_.emplace_back(now, WatchdogEvent::kResync);
@@ -314,7 +318,7 @@ void BundleController::WatchdogTick(const BundleMeasurement& m) {
         sim_->trace().Trace(obs::TraceCat::kWatchdog, obs::TraceEv::kWdResync,
                             comp_, now,
                             static_cast<uint64_t>(degraded_for.nanos()),
-                            obs::EncodeRate(dp_->ShapedRate()));
+                            obs::EncodeRate(shaped_rate()));
       }
       return;
     }
@@ -383,7 +387,7 @@ void BundleController::SendEpochCtl() {
   ctl.key.protocol = 17;
   ctl.epoch_size_pkts = epoch_pkts_;
   last_epoch_ctl_sent_ = sim_->now();
-  dp_->SendControl(std::move(ctl));
+  uplink_->HandlePacket(std::move(ctl));
 }
 
 void BundleController::ControlTick() {
@@ -443,7 +447,7 @@ void BundleController::ControlTick() {
       }
       break;
     case BundlerMode::kPassThrough: {
-      base = pi_.Update(dp_->QueueBytes(), now);
+      base = pi_.Update(queue_bytes(), now);
       // Draining the queue accumulated before the mode switch must not flood
       // the bottleneck at a multiple of its capacity.
       Rate mu = detector_.mu_estimate();
@@ -475,7 +479,7 @@ void BundleController::ControlTick() {
   if (rate > config_.max_rate) {
     rate = config_.max_rate;
   }
-  dp_->SetShapedRate(rate);
+  egress_->SetBundleRate(egress_idx_, rate, /*kick=*/false);
 
   if (!degraded) {
     // While degraded the watchdog owns receivebox re-probing (exponential
@@ -486,7 +490,7 @@ void BundleController::ControlTick() {
   rate_log_.Add(now, rate.Mbps());
   double qdelay_ms =
       rate.bps() > 0
-          ? static_cast<double>(dp_->QueueBytes()) * 8.0 / rate.bps() * 1e3
+          ? static_cast<double>(queue_bytes()) * 8.0 / rate.bps() * 1e3
           : 0.0;
   queue_delay_log_.Add(now, qdelay_ms);
 

@@ -4,8 +4,9 @@
 // detection, the PI traffic-passing controller, the feedback watchdog, and
 // epoch sizing — but owns no data plane and no timer: its SendboxManager
 // drives ControlTick() every control_interval from one tick shared by every
-// bundle of the site, and exposes the site's SiteEgress hierarchy through the
-// BundleDataplane seam below. Net::bundle_controller(bundle) hands out the
+// bundle of the site. The controller steers its bundle's entry in the site's
+// SiteEgress hierarchy directly and sends epoch ctl straight to the site
+// uplink. Net::bundle_controller(bundle) hands out the
 // controller of any admitted bundle, which makes it the per-bundle
 // introspection surface (mode and rate logs, watchdog state, measurements).
 #ifndef SRC_BUNDLER_BUNDLE_CONTROLLER_H_
@@ -19,7 +20,9 @@
 #include "src/bundler/measurement.h"
 #include "src/bundler/nimbus_detector.h"
 #include "src/bundler/pi_controller.h"
+#include "src/bundler/site_egress.h"
 #include "src/cc/cc.h"
+#include "src/net/node.h"
 #include "src/net/packet.h"
 #include "src/sim/simulator.h"
 #include "src/util/timeseries.h"
@@ -153,23 +156,6 @@ struct BundleControlConfig {
   PiController::Config pi;
 };
 
-// What the control loop needs from its owner's data plane. One virtual call
-// per use on the 100 Hz control path only — the per-packet path never goes
-// through this interface.
-class BundleDataplane {
- public:
-  virtual ~BundleDataplane() = default;
-  // Backlog currently governed by this bundle's rate (shaper queue bytes).
-  virtual int64_t QueueBytes() const = 0;
-  // The rate the data plane is currently enforcing for this bundle.
-  virtual Rate ShapedRate() const = 0;
-  // Control decision: enforce `rate` for this bundle from now on.
-  virtual void SetShapedRate(Rate rate) = 0;
-  // Sends an out-of-band control packet (epoch ctl) toward the receivebox,
-  // bypassing the bundle's shaping queue.
-  virtual void SendControl(Packet pkt) = 0;
-};
-
 class BundleController {
  public:
   // Watchdog state machine events, in occurrence order (see
@@ -178,12 +164,17 @@ class BundleController {
   // Which trigger caused the current degradation (kNone when not degraded).
   enum class WatchdogCause { kNone, kStale, kDelay };
 
-  // `obs_name` keys every trace component and counter this controller
-  // registers (the site pair, e.g. "s10-s100"). Registration happens here,
-  // so the pointers below are never null afterwards. No events are
-  // scheduled: the owner calls ControlTick() every config.control_interval.
+  // The controller shapes bundle `egress_idx` of `egress` and sends epoch
+  // ctl to `uplink`, bypassing the shaping hierarchy (control packets are
+  // never shaped). `obs_name` keys every trace component and counter this
+  // controller registers (the site pair, e.g. "s10-s100"). Registration
+  // happens here, so the pointers below are never null afterwards. No
+  // events are scheduled: the owner calls ControlTick() every
+  // config.control_interval and kicks `egress` once after ticking every
+  // controller.
   BundleController(Simulator* sim, const BundleControlConfig& config,
-                   BundleDataplane* dataplane, const std::string& obs_name);
+                   SiteEgress* egress, size_t egress_idx, PacketHandler* uplink,
+                   const std::string& obs_name);
   BundleController(const BundleController&) = delete;
   BundleController& operator=(const BundleController&) = delete;
 
@@ -193,16 +184,16 @@ class BundleController {
   // Every bundle data packet leaving the shaping stage: egress accounting +
   // epoch boundary reporting. Datapath-hot; non-virtual.
   void OnDataSent(const Packet& pkt);
-  // The control loop body (measure, detect, decide, enforce via the
-  // dataplane seam). Call every config.control_interval.
+  // The control loop body (measure, detect, decide, set the bundle's rate
+  // without kicking the egress pump). Call every config.control_interval.
   void ControlTick();
 
   // --- Introspection ---
   BundlerMode mode() const { return mode_; }
   // The rate the data plane enforces for this bundle right now, and the
   // backlog that rate governs.
-  Rate shaped_rate() const { return dp_->ShapedRate(); }
-  int64_t queue_bytes() const { return dp_->QueueBytes(); }
+  Rate shaped_rate() const { return egress_->bundle_rate(egress_idx_); }
+  int64_t queue_bytes() const { return egress_->bundle_queue_bytes(egress_idx_); }
   bool watchdog_degraded() const { return wd_degraded_; }
   WatchdogCause watchdog_cause() const { return wd_cause_; }
   const std::vector<std::pair<TimePoint, WatchdogEvent>>& watchdog_log() const {
@@ -235,7 +226,9 @@ class BundleController {
 
   Simulator* sim_;
   BundleControlConfig config_;
-  BundleDataplane* dp_;
+  SiteEgress* egress_;
+  size_t egress_idx_;
+  PacketHandler* uplink_;
   MeasurementEngine meas_;
   std::unique_ptr<BundleCc> cc_;
   NimbusDetector detector_;

@@ -1,7 +1,7 @@
 // SendboxManager: the sendbox (§4, §6) of one site — the only sendbox data
 // plane. It runs N BundleControllers (one per admitted bundle) against a
 // single shared SiteEgress hierarchy (site aggregate -> priority bands ->
-// tenant DRR -> bundle queue) and drives them all from ONE periodic control
+// tenant DRR -> bundle queue) and drives them all from ONE shared control
 // tick, so a site can host hundreds of bundles without hundreds of timers.
 // The paper's one-bundle sendbox is the degenerate case: NetBuilder puts a
 // bundle that names no tenant into its site's implicit tenant. Every
@@ -131,21 +131,6 @@ class SendboxManager : public PacketHandler {
   const SiteEgress& egress_hierarchy() const { return *egress_; }
 
  private:
-  // BundleDataplane seam for one admitted bundle: rate changes land on the
-  // shared hierarchy's per-bundle bucket (deferred kick during the shared
-  // tick), backlog reads come from its queue, epoch ctl bypasses the
-  // hierarchy (control packets are never shaped).
-  struct Slot : BundleDataplane {
-    SendboxManager* mgr = nullptr;
-    size_t idx = 0;  // egress hierarchy index == admission order
-    std::unique_ptr<BundleController> ctl;
-
-    int64_t QueueBytes() const override;
-    Rate ShapedRate() const override;
-    void SetShapedRate(Rate rate) override;
-    void SendControl(Packet pkt) override;
-  };
-
   struct DeclState {
     RejectCause cause = RejectCause::kNone;
     int32_t slot = -1;  // admitted slot, -1 when rejected
@@ -167,12 +152,12 @@ class SendboxManager : public PacketHandler {
   std::vector<std::string> tenant_names_;
   std::vector<DeclState> decls_;
   std::unique_ptr<SiteEgress> egress_;
-  std::vector<std::unique_ptr<Slot>> slots_;  // admission order
-  std::vector<int32_t> slot_of_site_;         // remote site -> slot, -1 = none
+  // One per admitted bundle, indexed by slot (admission order, which is
+  // also the bundle's SiteEgress index).
+  std::vector<std::unique_ptr<BundleController>> controllers_;
+  std::vector<int32_t> slot_of_site_;  // remote site -> slot, -1 = none
 
-  EventId tick_timer_ = kInvalidEventId;
-  bool in_tick_ = false;       // batching window for rate-update kicks
-  bool egress_dirty_ = false;  // a rate changed during the current tick
+  EventId tick_timer_ = kInvalidEventId;  // the pending shared tick
 
   uint32_t comp_ = 0;  // trace component ("sendbox_manager", obs_name)
   uint64_t* ctr_admitted_ = nullptr;

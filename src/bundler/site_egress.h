@@ -16,7 +16,7 @@
 //  - Zero allocations per datapath operation in steady state: bundle qdiscs
 //    recycle their ring storage once it reaches its high-water mark, the
 //    active-entity lists are index rings (util/index_ring.h), and the pump
-//    wakeup reuses one pooled timer slot.
+//    wakeup is a pooled one-shot.
 //  - Deterministic service order: bands scan low index first (strict
 //    priority), tenants and bundles round-robin in activation order with
 //    byte-deficit fairness (quantum proportional to weight x MTU), and a
@@ -93,7 +93,7 @@ class SiteEgress {
   // control tick) pass false and call Kick() once at the end.
   void SetBundleRate(size_t bundle, Rate rate, bool kick = true);
   // Re-evaluates the pump after deferred rate updates: transmits whatever
-  // became eligible and re-arms the wakeup to the new earliest deadline.
+  // became eligible and re-arms the wakeup at the new earliest deadline.
   void Kick();
 
   // --- Introspection ---
@@ -175,9 +175,8 @@ class SiteEgress {
   int64_t total_backlog_pkts_ = 0;
   uint64_t forwarded_packets_ = 0;
 
-  // Pump wakeup state: one pooled timer slot, moved in place on rearm.
+  // The armed pump wakeup (one pooled one-shot), kInvalidEventId when none.
   EventId pending_timer_ = kInvalidEventId;
-  bool rearm_pending_ = false;
   bool in_pump_ = false;
   // Earliest next-available time across entities blocked in this pump pass;
   // reset at the top of each pass.

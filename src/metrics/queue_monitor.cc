@@ -15,16 +15,14 @@ QdiscSampler::QdiscSampler(Simulator* sim, const Qdisc* qdisc, TimeDelta interva
   BUNDLER_CHECK(sim_ != nullptr);
   BUNDLER_CHECK(qdisc_ != nullptr);
   BUNDLER_CHECK(interval_.nanos() > 0);
-  timer_ = sim_->SchedulePeriodic(interval_, interval_, [this]() { Tick(); });
+  timer_ = sim_->Schedule(interval_, [this]() { Tick(); });
 }
 
-QdiscSampler::~QdiscSampler() {
-  if (timer_ != kInvalidEventId) {
-    sim_->Cancel(timer_);
-  }
-}
+QdiscSampler::~QdiscSampler() { sim_->Cancel(timer_); }
 
 void QdiscSampler::Tick() {
+  // Re-arm first, so timer_ always names the pending tick.
+  timer_ = sim_->Schedule(interval_, [this]() { Tick(); });
   TimePoint now = sim_->now();
   double b = static_cast<double>(qdisc_->bytes());
   bytes_.Add(now, b);

@@ -32,7 +32,7 @@ class QdiscSampler {
   const Qdisc* qdisc_;
   TimeDelta interval_;
   InlineFunction<Rate()> rate_provider_;
-  EventId timer_ = kInvalidEventId;
+  EventId timer_ = kInvalidEventId;  // the pending tick
   TimeSeries bytes_;
   TimeSeries delay_ms_;
 };

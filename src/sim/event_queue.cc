@@ -1,6 +1,5 @@
 #include "src/sim/event_queue.h"
 
-#include <bit>
 #include <utility>
 
 #include "src/util/check.h"
@@ -28,12 +27,10 @@ uint32_t EventQueue::AllocSlot() {
 void EventQueue::FreeSlot(uint32_t idx) {
   Slot& slot = slots_[idx];
   slot.cb.Reset();
-  slot.state = SlotState::kFree;
   heap_pos_[idx] = kNpos;
-  slot.period = TimeDelta::Zero();
   // Bumping the generation invalidates every outstanding id for this slot.
   // Wrap would let a stale id (2^32 recycles old) resolve to a live event;
-  // fail loudly instead, like the kMaxSeq limit in NextKey.
+  // fail loudly instead, like the kMaxSeq limit in NextSeq.
   ++slot.gen;
   BUNDLER_CHECK(slot.gen != 0);
   slot.next_free = free_head_;
@@ -49,8 +46,7 @@ uint32_t EventQueue::Resolve(EventId id) const {
     return kNpos;
   }
   uint32_t idx = static_cast<uint32_t>(low - 1);
-  const Slot& slot = slots_[idx];
-  if (slot.state == SlotState::kFree || slot.gen != static_cast<uint32_t>(id >> 32)) {
+  if (slots_[idx].gen != static_cast<uint32_t>(id >> 32)) {
     return kNpos;
   }
   return idx;
@@ -64,29 +60,6 @@ void EventQueue::SiftUp(uint32_t pos, HeapEntry e) {
     }
     Place(pos, heap_[parent]);
     pos = parent;
-  }
-  Place(pos, e);
-}
-
-void EventQueue::SiftDown(uint32_t pos, HeapEntry e) {
-  const uint32_t n = static_cast<uint32_t>(heap_.size());
-  while (true) {
-    uint32_t first_child = pos * 4 + 1;
-    if (first_child >= n) {
-      break;
-    }
-    uint32_t best = first_child;
-    uint32_t last_child = first_child + 3 < n - 1 ? first_child + 3 : n - 1;
-    for (uint32_t c = first_child + 1; c <= last_child; ++c) {
-      if (Earlier(heap_[c], heap_[best])) {
-        best = c;
-      }
-    }
-    if (!Earlier(heap_[best], e)) {
-      break;
-    }
-    Place(pos, heap_[best]);
-    pos = best;
   }
   Place(pos, e);
 }
@@ -137,76 +110,13 @@ void EventQueue::HeapRemoveAt(uint32_t pos) {
   SiftUp(hole, last);
 }
 
-EventId EventQueue::Push(TimePoint time, Callback cb) {
-  uint32_t idx = AllocSlot();
-  Slot& slot = slots_[idx];
-  slot.state = SlotState::kQueued;
-  slot.period = TimeDelta::Zero();
-  slot.cb = std::move(cb);
-  HeapPush(HeapEntry{time, NextKey(idx)});
-  ++profile_.pushes;
-  return IdFor(idx);
-}
-
-EventId EventQueue::PushPeriodic(TimePoint first, TimeDelta period, Callback cb) {
-  BUNDLER_CHECK(period > TimeDelta::Zero());
-  uint32_t idx = AllocSlot();
-  Slot& slot = slots_[idx];
-  slot.state = SlotState::kQueued;
-  slot.period = period;
-  slot.cb = std::move(cb);
-  HeapPush(HeapEntry{first, NextKey(idx)});
-  ++profile_.periodic_pushes;
-  return IdFor(idx);
-}
-
 bool EventQueue::Cancel(EventId id) {
   uint32_t idx = Resolve(id);
   if (idx == kNpos) {
     return false;
   }
-  Slot& slot = slots_[idx];
-  switch (slot.state) {
-    case SlotState::kQueued:
-      HeapRemoveAt(heap_pos_[idx]);
-      FreeSlot(idx);
-      ++profile_.cancels;
-      return true;
-    case SlotState::kDispatching:
-      // Cancelled from inside its own callback: the re-armed heap entry goes
-      // away now; DispatchHead frees the slot once the callback returns (the
-      // callback object itself is live on the dispatch stack).
-      HeapRemoveAt(heap_pos_[idx]);
-      slot.state = SlotState::kDispatchCancelled;
-      ++profile_.cancels;
-      return true;
-    case SlotState::kDispatchCancelled:
-      return false;  // already cancelled during this dispatch
-    case SlotState::kFree:
-      break;
-  }
-  return false;
-}
-
-bool EventQueue::Reschedule(EventId id, TimePoint t) {
-  uint32_t idx = Resolve(id);
-  if (idx == kNpos) {
-    return false;
-  }
-  Slot& slot = slots_[idx];
-  if (slot.state == SlotState::kDispatchCancelled) {
-    return false;
-  }
-  BUNDLER_CHECK(heap_pos_[idx] != kNpos);
-  // Fresh seq: the move is ordered like a brand-new push at `t`.
-  HeapEntry e{t, NextKey(idx)};
-  uint32_t pos = heap_pos_[idx];
-  if (pos > 0 && Earlier(e, heap_[(pos - 1) / 4])) {
-    SiftUp(pos, e);
-  } else {
-    SiftDown(pos, e);
-  }
-  ++profile_.reschedules;
+  HeapRemoveAt(heap_pos_[idx]);
+  FreeSlot(idx);
   return true;
 }
 
@@ -223,47 +133,9 @@ EventQueue::Callback EventQueue::PopNext(TimePoint* time_out) {
   cursor_time_ = head.time;
   cursor_seq_ = SeqOf(head.key);
   uint32_t idx = head.slot();
-  BUNDLER_CHECK(slots_[idx].period.IsZero());
   Callback cb = std::move(slots_[idx].cb);
   FreeSlot(idx);
   return cb;
-}
-
-void EventQueue::DispatchHead() {
-  BUNDLER_CHECK(!heap_.empty());
-  // Log2 dispatch histogram: bucket by the heap size this pop saw.
-  ++profile_.dispatch_size_log2[std::bit_width(heap_.size())];
-  HeapEntry head = heap_[0];
-  HeapRemoveAt(0);
-  cursor_time_ = head.time;
-  cursor_seq_ = SeqOf(head.key);
-  const uint32_t idx = head.slot();
-  if (slots_[idx].period.IsZero()) {
-    ++profile_.dispatches_oneshot;
-    // One-shot: the slot is freed before the callback runs, so the callback
-    // may recycle it by scheduling new events (ids never collide thanks to
-    // the generation counter).
-    Callback cb = std::move(slots_[idx].cb);
-    FreeSlot(idx);
-    cb();
-    return;
-  }
-  // Periodic: re-arm *before* invoking so events the callback schedules for
-  // exactly the next firing instant order after the timer itself — the same
-  // FIFO order as the classic "re-schedule yourself first" idiom.
-  ++profile_.dispatches_periodic;
-  slots_[idx].state = SlotState::kDispatching;
-  HeapPush(HeapEntry{head.time + slots_[idx].period, NextKey(idx)});
-  // The callback runs from the dispatch stack, not from slot storage: nested
-  // scheduling may grow slots_ and invalidate it mid-invocation.
-  Callback cb = std::move(slots_[idx].cb);
-  cb();
-  if (slots_[idx].state == SlotState::kDispatchCancelled) {
-    FreeSlot(idx);
-    return;
-  }
-  slots_[idx].state = SlotState::kQueued;
-  slots_[idx].cb = std::move(cb);
 }
 
 }  // namespace bundler

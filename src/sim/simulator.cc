@@ -1,27 +1,11 @@
 #include "src/sim/simulator.h"
 
-#include <utility>
-
 #include "src/util/check.h"
 
 namespace bundler {
 
-EventId Simulator::SchedulePeriodic(TimeDelta first_delay, TimeDelta period,
-                                    EventQueue::Callback cb) {
-  BUNDLER_CHECK(first_delay >= TimeDelta::Zero());
-  BUNDLER_CHECK(period > TimeDelta::Zero());
-  return queue_.PushPeriodic(now_ + first_delay, period, std::move(cb));
-}
-
-bool Simulator::Reschedule(EventId id, TimePoint t) {
-  BUNDLER_CHECK_MSG(t >= now_, "rescheduling into the past: %s < %s",
-                    t.ToString().c_str(), now_.ToString().c_str());
-  return queue_.Reschedule(id, t);
-}
-
 void Simulator::DispatchNext() {
-  now_ = queue_.NextTime();
-  queue_.DispatchHead();
+  queue_.PopNext(&now_)();
   ++events_dispatched_;
 }
 

@@ -3,11 +3,14 @@
 //
 // Scheduling guide for layers (see README "Simulator core"):
 //  - One-shot work: Schedule/ScheduleAt. Slots are pooled and callbacks are
-//    inline (InlineCallback), so this never heap-allocates.
-//  - Steady-state timers (control ticks, samplers): SchedulePeriodic. The
-//    event re-arms in place each firing — no cancel/push churn.
-//  - Movable deadlines (RTO-style timers, shaper wakeups): keep the EventId
-//    and Reschedule/RescheduleAfter instead of Cancel + Schedule.
+//    inline (InlineCallback), so this never heap-allocates. Every event
+//    fires once.
+//  - Recurring timers (control ticks, samplers): a one-shot whose callback
+//    re-arms it with Schedule as its first statement, so events the tick
+//    schedules for the next firing instant order after the next tick. The
+//    owner keeps the latest id and cancels that one on teardown.
+//  - Moved deadlines (shaper wakeups): Cancel the armed id, then Schedule
+//    afresh.
 //  - Time-ordered streams of future events (a link's propagating packets, a
 //    precomputed arrival schedule): ReserveSeq one ticket per entry when the
 //    entry is created, keep only the head pending, and arm each next entry
@@ -39,7 +42,9 @@ class Simulator {
 
   // Schedule `cb` to run after `delay` (>= 0) from now. Templated so the
   // callable is constructed straight into the event slot (no intermediate
-  // callback object on the hot path).
+  // callback object on the hot path). Schedule/ScheduleAt stay discardable
+  // on purpose: fire-and-forget one-shots are the hot-path idiom, and a
+  // dropped id is merely an un-cancellable event.
   template <typename F>
   EventId Schedule(TimeDelta delay, F&& cb) {
     BUNDLER_CHECK(delay >= TimeDelta::Zero());
@@ -62,20 +67,6 @@ class Simulator {
     BUNDLER_CHECK_MSG(t >= now_, "scheduling into the past: %s < %s",
                       t.ToString().c_str(), now_.ToString().c_str());
     return queue_.Push(t, ticket, std::forward<F>(cb));
-  }
-  // Schedule `cb` every `period`, first firing after `first_delay`. The
-  // returned id stays valid across firings; Cancel stops the timer — dropping
-  // it makes the timer unstoppable, hence [[nodiscard]]. (Schedule/ScheduleAt
-  // stay discardable on purpose: fire-and-forget one-shots are the hot-path
-  // idiom, and a dropped one-shot id is merely an un-cancellable event.)
-  [[nodiscard]] EventId SchedulePeriodic(TimeDelta first_delay,
-                                         TimeDelta period,
-                                         EventQueue::Callback cb);
-  // Move a pending event to a new deadline (>= now). Returns false when the
-  // event already fired or was cancelled (the id is then dead).
-  [[nodiscard]] bool Reschedule(EventId id, TimePoint t);
-  [[nodiscard]] bool RescheduleAfter(EventId id, TimeDelta delay) {
-    return Reschedule(id, now_ + delay);
   }
   // Cancel-if-pending. Unlike EventQueue::Cancel this is NOT [[nodiscard]]:
   // "stop it if it has not fired yet" is a sanctioned idiom here (timers race
@@ -100,7 +91,7 @@ class Simulator {
   const obs::CounterRegistry& counters() const { return counters_; }
   uint32_t sim_comp() const { return sim_comp_; }
 
-  // Event-queue profiling (heap depth, dispatch histogram, operation mix).
+  // Event-queue profiling (peak heap depth).
   const EventQueue::Profile& queue_profile() const { return queue_.profile(); }
   size_t PendingForTest() const { return queue_.PendingForTest(); }
 

@@ -98,8 +98,8 @@ class TcpSender : public PacketHandler {
   // RestartRto moves the deadline (on ACKs of new data and on timeout
   // backoff); EnsureRtoArmed only starts it if idle (on transmissions).
   // The armed event deliberately fires at its original deadline and re-arms
-  // lazily when the deadline moved, rather than Reschedule()-ing on every
-  // ACK: an ACK clearing timeout backoff can pull the deadline *earlier*
+  // lazily when the deadline moved, rather than cancelling and re-arming on
+  // every ACK: an ACK clearing timeout backoff can pull the deadline *earlier*
   // than the armed event, and honoring that eagerly changes retransmit
   // timing (the simulation's reference traces are pinned byte-for-byte).
   // Under the inline-callback engine the lazy re-arm is allocation-free, so

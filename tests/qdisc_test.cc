@@ -1,5 +1,6 @@
-// Unit tests for the queue disciplines and token-bucket shaping (a one-bundle
-// SiteEgress, the sendbox's rate enforcement stage).
+// Unit tests for the queue disciplines, token-bucket shaping (a one-bundle
+// SiteEgress, the sendbox's rate enforcement stage), and the qdisc occupancy
+// sampler.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "src/bundler/site_egress.h"
+#include "src/metrics/queue_monitor.h"
 #include "src/qdisc/codel.h"
 #include "src/qdisc/drr.h"
 #include "src/qdisc/fifo.h"
@@ -396,6 +398,46 @@ TEST(BundleShapingTest, DrainsCompletely) {
   EXPECT_EQ(out_pkts, 50);
   EXPECT_TRUE(egress->bundle_qdisc(0)->Empty());
   EXPECT_EQ(egress->total_backlog_pkts(), 0);
+}
+
+// The sampler re-arms a one-shot as the first statement of every tick:
+// samples land at exactly k x interval, the delay column uses the rate in
+// force at the sample, and destruction cancels the latest re-armed tick
+// (cancelling the constructor's long-fired id would leave it pending).
+TEST(QdiscSamplerTest, SamplesAtFixedCadenceAndCancelsLatestTickOnTeardown) {
+  Simulator sim;
+  DropTailFifo q(100 * kMtuBytes);
+  const TimeDelta interval = TimeDelta::Millis(10);
+  Rate rate = Rate::Mbps(12);
+  auto sampler = std::make_unique<QdiscSampler>(&sim, &q, interval,
+                                                [&rate]() { return rate; });
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(q.Enqueue(MakePkt(1), sim.now()));
+  }
+  sim.Schedule(TimeDelta::Millis(15), [&]() {
+    ASSERT_TRUE(q.Enqueue(MakePkt(1), sim.now()));
+    rate = Rate::Mbps(24);
+  });
+  sim.RunUntil(TimePoint::Zero() + TimeDelta::Millis(45));
+
+  const std::vector<TimeSeries::Sample>& bytes = sampler->bytes().samples();
+  const std::vector<TimeSeries::Sample>& delay = sampler->delay_ms().samples();
+  ASSERT_EQ(bytes.size(), 4u);
+  ASSERT_EQ(delay.size(), 4u);
+  for (size_t k = 0; k < bytes.size(); ++k) {
+    const TimePoint at = TimePoint::Zero() + TimeDelta::Millis(10 * static_cast<int64_t>(k + 1));
+    EXPECT_EQ(bytes[k].time, at);
+    EXPECT_EQ(delay[k].time, at);
+    const double b = k == 0 ? 3.0 * kMtuBytes : 4.0 * kMtuBytes;
+    const double bps = k == 0 ? Rate::Mbps(12).bps() : Rate::Mbps(24).bps();
+    EXPECT_DOUBLE_EQ(bytes[k].value, b);
+    EXPECT_DOUBLE_EQ(delay[k].value, b * 8.0 / bps * 1e3);
+  }
+
+  EXPECT_EQ(sim.PendingForTest(), 1u);  // the tick at 50 ms
+  sampler.reset();
+  EXPECT_EQ(sim.PendingForTest(), 0u);
+  sim.RunAll();  // nothing left to fire into the destroyed sampler
 }
 
 }  // namespace

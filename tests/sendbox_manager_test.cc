@@ -231,6 +231,43 @@ TEST(SendboxManagerTest, FullFifoBundleRefusalCountsOneDrop) {
   EXPECT_EQ(sink.pkts.size(), sent);
 }
 
+// --- Timer teardown ---
+
+// The shared control tick re-arms a one-shot as its first statement, so the
+// manager must cancel the latest re-armed tick on destruction: cancelling the
+// constructor's long-fired id would leave a tick pending into freed memory.
+TEST(SendboxManagerTest, DestructionCancelsTheLatestTick) {
+  Simulator sim;
+  Sink sink;
+  SendboxManager::Policy policy;
+  std::vector<SendboxManager::TenantPolicy> tenants(1);
+  tenants[0].name = "t";
+  std::vector<SendboxManager::BundleDecl> decls = {Decl(0, 10), Decl(0, 11)};
+  auto mgr = std::make_unique<SendboxManager>(
+      &sim, policy, tenants, decls, 1, MakeAddress(1, kBundlerCtlHost), &sink,
+      "mgr");
+  for (int i = 0; i < 64; ++i) {
+    mgr->HandlePacket(DataTo(10));
+  }
+  sim.RunUntil(TimePoint::Zero() + TimeDelta::Millis(35));
+
+  // One shared tick every control interval drives both controllers.
+  for (size_t b = 0; b < decls.size(); ++b) {
+    const std::vector<TimeSeries::Sample>& ticks =
+        mgr->controller(b)->rate_log().samples();
+    ASSERT_EQ(ticks.size(), 3u);
+    for (size_t k = 0; k < ticks.size(); ++k) {
+      EXPECT_EQ(ticks[k].time,
+                TimePoint::Zero() + TimeDelta::Millis(10 * static_cast<int64_t>(k + 1)));
+    }
+  }
+
+  EXPECT_GE(sim.PendingForTest(), 1u);  // at least the tick at 40 ms
+  mgr.reset();
+  EXPECT_EQ(sim.PendingForTest(), 0u);
+  sim.RunAll();
+}
+
 // --- Nested-bucket conformance ---
 
 // Replays the egress schedule against an independent token-bucket model

@@ -1,6 +1,6 @@
 // Unit tests for the discrete-event simulator core: ordering, cancellation
-// (including mid-dispatch), reschedule-in-place, periodic timers, ticketed
-// event streams, and the engine's zero-allocation guarantee.
+// (including mid-dispatch), ticketed event streams, and the engine's
+// zero-allocation guarantee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -195,100 +195,13 @@ TEST(SimulatorTest, CancelDuringDispatchOfSameInstantEvent) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST(SimulatorTest, PeriodicFiresAtFixedCadence) {
-  Simulator sim;
-  std::vector<int64_t> fire_ns;
-  EventId id = sim.SchedulePeriodic(TimeDelta::Millis(3), TimeDelta::Millis(10),
-                                    [&]() { fire_ns.push_back(sim.now().nanos()); });
-  sim.RunUntil(TimePoint::Zero() + TimeDelta::Millis(40));
-  ASSERT_EQ(fire_ns.size(), 4u);  // 3, 13, 23, 33 ms
-  EXPECT_EQ(fire_ns[0], TimeDelta::Millis(3).nanos());
-  EXPECT_EQ(fire_ns[3], TimeDelta::Millis(33).nanos());
-  // The id stays valid across firings; cancelling stops the timer.
-  sim.Cancel(id);
-  sim.RunUntil(TimePoint::Zero() + TimeDelta::Millis(100));
-  EXPECT_EQ(fire_ns.size(), 4u);
-}
-
-TEST(SimulatorTest, PeriodicCancelFromOwnCallback) {
-  Simulator sim;
-  int fired = 0;
-  EventId id = kInvalidEventId;
-  id = sim.SchedulePeriodic(TimeDelta::Millis(1), TimeDelta::Millis(1), [&]() {
-    if (++fired == 3) {
-      sim.Cancel(id);  // cancellation during our own dispatch
-    }
-  });
-  sim.RunAll();
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(SimulatorTest, PeriodicRearmsBeforeInvoking) {
-  // An event the periodic callback schedules for exactly the next firing
-  // instant must dispatch *after* the next tick: the engine re-arms the
-  // timer before invoking the callback, like the classic "re-schedule
-  // yourself first" idiom the layers used to hand-roll.
-  Simulator sim;
-  std::vector<char> order;
-  bool planted = false;
-  EventId id = sim.SchedulePeriodic(TimeDelta::Millis(1), TimeDelta::Millis(1), [&]() {
-    order.push_back('p');
-    if (!planted) {
-      planted = true;
-      sim.Schedule(TimeDelta::Millis(1), [&]() { order.push_back('o'); });
-    }
-    if (order.size() >= 3) {
-      sim.Cancel(id);
-    }
-  });
-  sim.RunAll();
-  ASSERT_GE(order.size(), 3u);
-  EXPECT_EQ(order[0], 'p');
-  EXPECT_EQ(order[1], 'p');  // tick at 2 ms precedes the one-shot planted at 2 ms
-  EXPECT_EQ(order[2], 'o');
-}
-
-TEST(SimulatorTest, RescheduleMovesDeadline) {
-  Simulator sim;
-  std::vector<char> order;
-  EventId a = sim.Schedule(TimeDelta::Millis(10), [&]() { order.push_back('a'); });
-  sim.Schedule(TimeDelta::Millis(20), [&]() { order.push_back('b'); });
-  EXPECT_TRUE(sim.Reschedule(a, TimePoint::Zero() + TimeDelta::Millis(30)));
-  sim.RunAll();
-  EXPECT_EQ(order, (std::vector<char>{'b', 'a'}));
-}
-
-TEST(SimulatorTest, RescheduleOrdersLikeFreshPush) {
-  // Rescheduling onto an instant where events are already pending places the
-  // moved event last among them (fresh FIFO sequence), exactly as a
-  // cancel+push would.
-  Simulator sim;
-  std::vector<char> order;
-  EventId a = sim.Schedule(TimeDelta::Millis(1), [&]() { order.push_back('a'); });
-  sim.Schedule(TimeDelta::Millis(5), [&]() { order.push_back('b'); });
-  EXPECT_TRUE(sim.Reschedule(a, TimePoint::Zero() + TimeDelta::Millis(5)));
-  sim.RunAll();
-  EXPECT_EQ(order, (std::vector<char>{'b', 'a'}));
-}
-
-TEST(SimulatorTest, RescheduleDeadIdReturnsFalse) {
-  Simulator sim;
-  EventId fired = sim.Schedule(TimeDelta::Millis(1), []() {});
-  EventId cancelled = sim.Schedule(TimeDelta::Millis(2), []() {});
-  sim.Cancel(cancelled);
-  sim.RunAll();
-  EXPECT_FALSE(sim.Reschedule(fired, sim.now() + TimeDelta::Millis(1)));
-  EXPECT_FALSE(sim.Reschedule(cancelled, sim.now() + TimeDelta::Millis(1)));
-  EXPECT_FALSE(sim.RescheduleAfter(kInvalidEventId, TimeDelta::Millis(1)));
-}
-
 // Randomized mirror test: the queue must dispatch exactly the live events in
-// (time, FIFO) order under interleaved push / cancel / reschedule, matching
-// a naive reference model.
+// (time, FIFO) order under interleaved push / cancel / move (cancel plus a
+// fresh push), matching a naive reference model.
 TEST(EventQueueTest, RandomizedOrderMatchesReferenceModel) {
   struct Ref {
     int64_t time_ns;
-    uint64_t order;  // monotonically increasing push/reschedule stamp
+    uint64_t order;  // monotonically increasing push stamp
     int label;
   };
   std::mt19937_64 rng(20260729);
@@ -313,11 +226,16 @@ TEST(EventQueueTest, RandomizedOrderMatchesReferenceModel) {
       live[pending[victim].second].label = -1;  // tombstone in the model only
       pending.erase(pending.begin() + victim);
     } else {
+      // Move a pending event: cancel it and push its callback afresh.
       size_t victim = rng() % pending.size();
       int64_t t = static_cast<int64_t>(rng() % 64);
-      ASSERT_TRUE(q.Reschedule(pending[victim].first, TimePoint::FromNanos(t)));
-      live[pending[victim].second].time_ns = t;
-      live[pending[victim].second].order = ++stamp;
+      ASSERT_TRUE(q.Cancel(pending[victim].first));
+      Ref& moved = live[pending[victim].second];
+      int label = moved.label;
+      pending[victim].first = q.Push(TimePoint::FromNanos(t),
+                                     [&fired, label]() { fired.push_back(label); });
+      moved.time_ns = t;
+      moved.order = ++stamp;
     }
   }
   TimePoint t;
@@ -350,25 +268,32 @@ TEST(SimulatorTest, SteadyStateSchedulingDoesNotAllocate) {
   sim.RunAll();
 
   uint64_t before = g_heap_allocs;
-  // Steady state: a periodic timer, a self-rescheduling chain, same-slot
-  // reuse via Reschedule, and a block of one-shots per round — all with
+  // Steady state: a self-re-arming tick, a deadline moved by cancel plus a
+  // fresh push every tick, and a block of one-shots per tick — all with
   // inline captures. None of this may allocate.
-  int chain = 0;
-  EventId movable = sim.Schedule(TimeDelta::Seconds(3600), []() {});
-  EventId periodic =
-      sim.SchedulePeriodic(TimeDelta::Micros(50), TimeDelta::Micros(50), [&]() {
-        if (++chain <= 100) {
-          EXPECT_TRUE(sim.RescheduleAfter(movable, TimeDelta::Seconds(3600)));
-          for (int i = 0; i < kPending / 2; ++i) {
-            sim.Schedule(TimeDelta::Micros(1 + i % 7), []() {});
-          }
-        } else {
-          sim.Cancel(periodic);
-          sim.Cancel(movable);
-        }
-      });
+  struct Ticker {
+    Simulator* sim;
+    int chain = 0;
+    EventId movable = kInvalidEventId;
+
+    void Tick() {
+      if (++chain > 100) {
+        sim->Cancel(movable);
+        return;
+      }
+      sim->Schedule(TimeDelta::Micros(50), [this]() { Tick(); });
+      EXPECT_TRUE(sim->Cancel(movable));
+      movable = sim->Schedule(TimeDelta::Seconds(3600), []() {});
+      for (int i = 0; i < kPending / 2; ++i) {
+        sim->Schedule(TimeDelta::Micros(1 + i % 7), []() {});
+      }
+    }
+  };
+  Ticker ticker{&sim};
+  ticker.movable = sim.Schedule(TimeDelta::Seconds(3600), []() {});
+  sim.Schedule(TimeDelta::Micros(50), [&ticker]() { ticker.Tick(); });
   sim.RunAll();
-  EXPECT_GT(chain, 100);
+  EXPECT_GT(ticker.chain, 100);
   EXPECT_EQ(g_heap_allocs - before, 0u)
       << "the schedule/cancel/dispatch hot path must not touch the heap";
 }
